@@ -20,12 +20,18 @@
 // exposed through the API address.
 //
 // Fleet mode: -coordinator turns the process into a fleet coordinator
-// instead of a worker — it runs no simulations itself, but admits jobs
-// once, shards them deterministically by fingerprint hash across the
-// -replicas list, fails shards over around dead replicas, and serves
-// the same API surface:
+// instead of a worker. It serves the same front door — HTTP API,
+// -tenants keys and quotas, admission, job records and event streams —
+// but runs no simulations itself: it shards each admitted job
+// deterministically by fingerprint hash across the -replicas list and
+// fails shards over around dead replicas. -queue bounds its in-flight
+// jobs, since every admitted job is dispatched at once. A replica's 4xx
+// verdict on a job (other than 429) fails the job instead of failing it
+// over. Like a single box with no trace store, a coordinator answers
+// POST /v1/traces with 501; upload traces to a replica.
 //
 //	clusterd -coordinator -replicas http://10.0.0.1:8090,http://10.0.0.2:8090
+//	clusterd -coordinator -replicas ... -tenants tenants.json -api-key <replica key>
 //
 // Point the replicas at one shared -data directory (or any shared
 // cache backend) and a re-dispatched shard resolves from the result
@@ -102,13 +108,33 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	var tenantList []service.Tenant
+	if *tenants != "" {
+		tenantList, err = service.LoadTenantsFile(*tenants)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "clusterd:", err)
+			os.Exit(1)
+		}
+		// Names only — API keys must never reach the log stream.
+		names := make([]string, 0, len(tenantList))
+		for _, t := range tenantList {
+			names = append(names, t.Name)
+		}
+		logger.Info("multi-tenant mode", "tenants", names)
+	}
+	front := service.Options{QueueDepth: *queue, Tenants: tenantList, Logger: logger}
 	if *coordinator {
 		replicas, err := parseReplicas(*replicasFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clusterd:", err)
 			os.Exit(2)
 		}
-		if err := runCoordinator(*addr, replicas, *queue, *probeInterval, *apiKey, logger); err != nil {
+		if err := runCoordinator(*addr, fleet.Options{
+			Options:       front,
+			Replicas:      replicas,
+			ProbeInterval: *probeInterval,
+			APIKey:        *apiKey,
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "clusterd:", err)
 			os.Exit(1)
 		}
@@ -118,7 +144,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clusterd: -replicas requires -coordinator")
 		os.Exit(2)
 	}
-	if err := run(*addr, *data, *cacheDir, *traceDir, *tenants, workersQueue{*workers, *queue}, *progress, logger); err != nil {
+	front.Workers = *workers
+	front.CacheDir = resolveDir(*cacheDir, *data, "results")
+	front.TraceDir = resolveDir(*traceDir, *data, "traces")
+	front.ProgressInterval = *progress
+	if err := run(*addr, front); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterd:", err)
 		os.Exit(1)
 	}
@@ -173,12 +203,6 @@ func startPprof(addr string, logger *slog.Logger) error {
 	return nil
 }
 
-// workersQueue bundles the two pool knobs so run keeps a readable arity.
-type workersQueue struct {
-	workers int
-	queue   int
-}
-
 // buildLogger assembles the slog request logger on stderr, leaving
 // stdout to the "listening on" line scripts scrape.
 func buildLogger(format, level string) (*slog.Logger, error) {
@@ -211,47 +235,19 @@ func resolveDir(override, data, sub string) string {
 
 // runCoordinator boots the fleet coordinator variant: same listening
 // line, same graceful shutdown, no local simulation engine.
-func runCoordinator(addr string, replicas []string, queue int, probe time.Duration, apiKey string, logger *slog.Logger) error {
-	co, err := fleet.New(fleet.Options{
-		Replicas:      replicas,
-		QueueDepth:    queue,
-		ProbeInterval: probe,
-		APIKey:        apiKey,
-		Logger:        logger,
-	})
+func runCoordinator(addr string, opts fleet.Options) error {
+	co, err := fleet.New(opts)
 	if err != nil {
 		return err
 	}
 	defer co.Close()
-	logger.Info("coordinator mode", "replicas", replicas)
+	opts.Logger.Info("coordinator mode", "replicas", opts.Replicas)
 	return serve(addr, co.Handler())
 }
 
-func run(addr, data, cacheDir, traceDir, tenantsPath string, wq workersQueue, progress int64, logger *slog.Logger) error {
-	var tenants []service.Tenant
-	if tenantsPath != "" {
-		var err error
-		tenants, err = service.LoadTenantsFile(tenantsPath)
-		if err != nil {
-			return err
-		}
-		// Names only — API keys must never reach the log stream.
-		names := make([]string, 0, len(tenants))
-		for _, t := range tenants {
-			names = append(names, t.Name)
-		}
-		logger.Info("multi-tenant mode", "tenants", names)
-	}
-
-	srv, err := service.New(service.Options{
-		Workers:          wq.workers,
-		QueueDepth:       wq.queue,
-		CacheDir:         resolveDir(cacheDir, data, "results"),
-		TraceDir:         resolveDir(traceDir, data, "traces"),
-		ProgressInterval: progress,
-		Tenants:          tenants,
-		Logger:           logger,
-	})
+// run boots a single box.
+func run(addr string, opts service.Options) error {
+	srv, err := service.New(opts)
 	if err != nil {
 		return err
 	}

@@ -92,9 +92,8 @@ func httpStatus(err error) (status int, code string, retryAfterSec int) {
 }
 
 // Envelope renders a service error as its HTTP status and versioned
-// wire envelope. Exported for sibling packages speaking the same error
-// contract (the fleet coordinator), so a fleet rejection is
-// byte-compatible with a single-box one.
+// wire envelope, for Go-API callers that want the wire verdict of an
+// error without a round trip.
 func Envelope(err error) (int, ErrorEnvelope) { return envelope(err) }
 
 // envelope renders a service error as its wire representation.

@@ -13,9 +13,10 @@ package fleet
 //  3. the coordinator's event stream still emits exactly one terminal
 //     line per job — failover never leaks a premature terminal.
 //
-// The kill is a network kill (CloseClientConnections + Close), the
-// nearest in-process analogue to SIGKILL: established streams break
-// mid-line and new dials are refused. The victim is not fixed — it is
+// The kill is a network kill (listener closed first, then
+// CloseClientConnections + Close), the nearest in-process analogue to
+// SIGKILL: new dials are refused and established streams break
+// mid-line. The victim is not fixed — it is
 // whichever replica starts the fleet's first simulation — so the test
 // exercises the failover ring from an arbitrary home slot.
 
@@ -137,6 +138,7 @@ func TestChaosKillReplicaMidGrid(t *testing.T) {
 	victim.Store(int32(v))
 	victimName := tf.co.replicas[v].name
 	t.Logf("killing %s mid-shard", victimName)
+	tf.servers[v].Listener.Close()
 	tf.servers[v].CloseClientConnections()
 	tf.servers[v].Close()
 	onKilled.Do(func() { close(killed) })

@@ -1,10 +1,12 @@
-// Package fleet is the coordinator side of clusterd fleet mode: one
-// process that admits jobs and grids exactly once, deterministically
-// partitions them across N clusterd replicas by fingerprint hash, fans
-// the shards out with idempotent retries, and reassembles statuses,
-// results and NDJSON event streams so a caller cannot tell the fleet
-// from a single box — same wire types, same error envelopes,
-// byte-identical results JSON.
+// Package fleet is the coordinator side of clusterd fleet mode. A
+// Coordinator is a service.Server — the single box's HTTP layer,
+// tenants, admission and job/event hub, unchanged — whose Backend
+// dispatches each admitted job to one of N clusterd replicas instead
+// of running it: shards are placed deterministically by fingerprint
+// hash, fail over around dead replicas with idempotent retries, and
+// feed replica progress into the coordinator's own job record, so a
+// caller cannot tell the fleet from a single box — same wire types,
+// same error envelopes, byte-identical results JSON.
 //
 // Determinism is the load-bearing property, in the Bobpp style of
 // deterministic work partitioning (PAPERS.md): a job's home replica is
@@ -20,6 +22,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -29,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clustervp/internal/core"
 	"clustervp/internal/obs"
 	"clustervp/internal/runner"
 	"clustervp/internal/service"
@@ -39,18 +43,16 @@ import (
 
 // Options configure a Coordinator.
 type Options struct {
+	// Options configure the coordinator's front door exactly as on a
+	// single box — QueueDepth, MaxJobRecords, Tenants, SpanRing and
+	// Logger — except that QueueDepth bounds in-flight jobs fleet-wide.
+	// The engine fields stay zero (see service.NewCoordinator).
+	service.Options
 	// Replicas are the clusterd base URLs forming the shard space, e.g.
 	// ["http://10.0.0.1:8090", "http://10.0.0.2:8090"]. Order matters:
 	// shard assignment hashes into this list, so every coordinator of a
 	// fleet must be configured with the same list in the same order.
 	Replicas []string
-	// QueueDepth bounds in-flight (queued+running) jobs fleet-wide at
-	// admission (<=0 = 1024); past it, submissions get the same 503
-	// queue_full envelope a saturated single box sends.
-	QueueDepth int
-	// MaxJobRecords bounds retained job records (<=0 = 16384), evicting
-	// the oldest terminal records first, exactly like the single box.
-	MaxJobRecords int
 	// ProbeInterval paces the /v1/healthz probe loop (<=0 = 2s).
 	ProbeInterval time.Duration
 	// DownAfter is how many consecutive probe failures demote a replica
@@ -65,30 +67,18 @@ type Options struct {
 	// tests route it through a fault-injecting RoundTripper. Nil = a
 	// plain http.Client.
 	HTTPClient *http.Client
-	// Logger receives structured dispatch and health logs; nil discards.
-	Logger *slog.Logger
-	// SpanRing bounds the coordinator's finished-span ring
-	// (<=0 = obs.DefaultRingSize). Tracing is always on.
-	SpanRing int
 }
 
-// Coordinator fans a job stream out across replicas. Create with New,
-// expose with Handler, stop with Close.
+// Coordinator is a fleet's front door: a service.Server whose Backend
+// (the Coordinator itself) dispatches jobs across replicas. Create
+// with New, expose with Handler, stop with Close.
 type Coordinator struct {
+	*service.Server
+
 	opts     Options
 	replicas []*replica
-	start    time.Time
 	logger   *slog.Logger
-	handler  http.Handler
-	spans    *obs.Collector
 
-	mu       sync.Mutex
-	jobs     map[string]*fleetJob
-	order    []string
-	nextSeq  int64
-	inflight int // non-terminal jobs, bounded by QueueDepth
-
-	submitted, done, failed atomic.Int64
 	// resubmits counts shard dispatches beyond the first — the fleet's
 	// duplicate-work ceiling, surfaced in statsz and pinned by the
 	// chaos test.
@@ -99,19 +89,14 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 }
 
+// errShutdown fails the jobs still in flight when the coordinator
+// closes.
+var errShutdown = errors.New("fleet: coordinator shut down before the job completed")
+
 // New builds and starts a coordinator (health probes run until Close).
 func New(opts Options) (*Coordinator, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: at least one replica is required")
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 1024
-	}
-	if opts.MaxJobRecords <= 0 {
-		opts.MaxJobRecords = 16384
-	}
-	if opts.MaxJobRecords < opts.QueueDepth {
-		opts.MaxJobRecords = opts.QueueDepth
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 2 * time.Second
@@ -129,10 +114,7 @@ func New(opts Options) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	co := &Coordinator{
 		opts:   opts,
-		start:  time.Now(),
 		logger: logger,
-		spans:  obs.NewCollector("coordinator", opts.SpanRing),
-		jobs:   make(map[string]*fleetJob),
 		ctx:    ctx,
 		cancel: cancel,
 	}
@@ -151,15 +133,22 @@ func New(opts Options) (*Coordinator, error) {
 			state: replicaUp,
 		})
 	}
-	co.handler = co.buildHandler()
+	srv, err := service.NewCoordinator(opts.Options, co)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	co.Server = srv
 	co.wg.Add(1)
 	go co.probeLoop()
 	return co, nil
 }
 
-// Close stops the probe loop and aborts in-flight dispatches.
+// Close aborts in-flight dispatches, waits for their jobs to fail, and
+// stops the probe loop.
 func (co *Coordinator) Close() {
 	co.cancel()
+	co.Server.Close()
 	co.wg.Wait()
 }
 
@@ -200,235 +189,113 @@ func (co *Coordinator) shardOf(key string) int {
 	return int(h.Sum64() % uint64(len(co.replicas)))
 }
 
-// Submit validates and admits one job, returning its queued snapshot.
-func (co *Coordinator) Submit(req service.JobRequest) (service.JobStatus, error) {
-	return co.submitTraced(req, nil)
-}
-
-// submitTraced admits one job, parenting its trace under the caller's
-// request span when one exists — this is how a traceparent that arrived
-// on POST /v1/jobs threads through the coordinator into the replica.
-func (co *Coordinator) submitTraced(req service.JobRequest, parent *obs.ActiveSpan) (service.JobStatus, error) {
-	ids, err := co.admit([]service.JobRequest{req}, parent)
+// Prepare validates a request and keys it by its shard key. The
+// replica runs the job, so there is no runner.Job to build here. A
+// fleet with no live replica refuses work the way a saturated single
+// box does (503 queue_full), so clients back off instead of erroring.
+func (co *Coordinator) Prepare(req service.JobRequest) (runner.Job, string, error) {
+	key, err := shardKey(req)
 	if err != nil {
-		return service.JobStatus{}, err
-	}
-	return co.Status(ids[0])
-}
-
-// SubmitGrid expands machines × kernels × scales row-major — the exact
-// expansion the single box performs — and admits the whole grid
-// all-or-nothing.
-func (co *Coordinator) SubmitGrid(req service.GridRequest) ([]string, error) {
-	if len(req.Machines) == 0 || len(req.Kernels) == 0 {
-		return nil, fmt.Errorf("%w: a grid needs at least one machine and one kernel", service.ErrBadRequest)
-	}
-	scales := req.Scales
-	if len(scales) == 0 {
-		scales = []int{1}
-	}
-	var reqs []service.JobRequest
-	for _, m := range req.Machines {
-		for _, k := range req.Kernels {
-			for _, sc := range scales {
-				reqs = append(reqs, service.JobRequest{
-					Machine: m, Kernel: k, Scale: sc, Seed: req.Seed, Priority: req.Priority,
-				})
-			}
-		}
-	}
-	// Grid-expanded jobs each root their own trace (one trace per job);
-	// only a single-job submit continues the caller's trace.
-	return co.admit(reqs, nil)
-}
-
-// admit validates every request, checks fleet-wide backpressure, and
-// registers + dispatches the batch all-or-nothing.
-func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) ([]string, error) {
-	keys := make([]string, len(reqs))
-	for i, r := range reqs {
-		k, err := shardKey(r)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
+		return runner.Job{}, "", err
 	}
 	if co.liveReplicas() == 0 {
-		// The whole fleet is unreachable: same degraded answer as a
-		// saturated single box, so clients back off instead of erroring.
-		return nil, fmt.Errorf("%w: no live replicas", service.ErrQueueFull)
+		return runner.Job{}, "", fmt.Errorf("%w: no live replicas", service.ErrQueueFull)
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.inflight+len(reqs) > co.opts.QueueDepth {
-		if len(reqs) > 1 {
-			return nil, fmt.Errorf("%w: grid of %d jobs exceeds free fleet capacity %d",
-				service.ErrQueueFull, len(reqs), co.opts.QueueDepth-co.inflight)
-		}
-		return nil, service.ErrQueueFull
-	}
-	ids := make([]string, len(reqs))
-	for i, r := range reqs {
-		co.nextSeq++
-		j := &fleetJob{
-			id:        fmt.Sprintf("f-%08d", co.nextSeq),
-			req:       r,
-			key:       keys[i],
-			shard:     co.shardOf(keys[i]),
-			state:     service.StateQueued,
-			submitted: time.Now(),
-			terminal:  make(chan struct{}),
-			subs:      make(map[chan service.Event]struct{}),
-		}
-		if parent != nil {
-			j.span = parent.StartChild("job " + j.id)
-		} else {
-			j.span = co.spans.StartRoot("job "+j.id, obs.SpanContext{})
-		}
-		j.span.SetAttr("job", j.id)
-		j.span.SetAttr("shard", strconv.Itoa(j.shard))
-		j.span.SetAttr("shard_key", j.key)
-		if r.Kernel != "" {
-			j.span.SetAttr("kernel", r.Kernel)
-		}
-		if r.TraceDigest != "" {
-			j.span.SetAttr("trace_digest", r.TraceDigest)
-		}
-		j.traceID = j.span.TraceID()
-		co.jobs[j.id] = j
-		co.order = append(co.order, j.id)
-		co.inflight++
-		co.submitted.Add(1)
-		ids[i] = j.id
-		co.wg.Add(1)
-		go co.dispatch(j)
-	}
-	co.evictLocked()
-	co.logger.Info("fleet admitted", "jobs", len(ids), "inflight", co.inflight)
-	return ids, nil
+	return runner.Job{}, key, nil
 }
 
-// evictLocked drops the oldest terminal records past the retention
-// bound; co.mu must be held.
-func (co *Coordinator) evictLocked() {
-	if len(co.jobs) <= co.opts.MaxJobRecords {
-		return
-	}
-	kept := co.order[:0]
-	for i, id := range co.order {
-		if len(co.jobs) <= co.opts.MaxJobRecords {
-			kept = append(kept, co.order[i:]...)
-			break
-		}
-		j := co.jobs[id]
-		if j == nil {
-			continue
-		}
-		if j.isTerminal() {
-			delete(co.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	co.order = kept
-}
-
-// Status returns a job's status snapshot.
-func (co *Coordinator) Status(id string) (service.JobStatus, error) {
-	co.mu.Lock()
-	j, ok := co.jobs[id]
-	co.mu.Unlock()
-	if !ok {
-		return service.JobStatus{}, service.ErrNoSuchJob
-	}
-	return j.status(), nil
-}
-
-// dispatch walks the failover ring until the job reaches a terminal
-// state: home replica first, then the next live replica in ring order.
-// A replica that fails mid-shard (transport error, broken stream,
+// Execute walks the failover ring until the job reaches a verdict:
+// home replica first, then the next live replica in ring order. A
+// replica that fails mid-shard (transport error, broken stream,
 // exhausted retries) costs a resubmission elsewhere — bounded
 // duplicate work, since the shared content-addressed cache absorbs
 // anything the failed replica already published.
-func (co *Coordinator) dispatch(j *fleetJob) {
-	defer co.wg.Done()
-	defer co.finishInflight()
+func (co *Coordinator) Execute(j *service.Job) (stats.Results, string, error) {
+	const via = "replica"
+	home := co.shardOf(j.Key())
+	j.Span().SetAttr("shard", strconv.Itoa(home))
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && attempt%len(co.replicas) == 0 {
-			// A full ring failed: pause a probe period so the loop
-			// paces the fleet's recovery instead of hammering it.
-			select {
-			case <-co.ctx.Done():
-				j.fail("fleet: coordinator shut down before the job completed", "")
-				return
-			case <-time.After(co.opts.ProbeInterval):
-			}
+		if attempt > 0 && attempt%len(co.replicas) == 0 && !co.pause() {
+			// A full ring failed: the pause paces the fleet's recovery
+			// instead of hammering it.
+			return stats.Results{}, via, errShutdown
 		}
-		r := co.pick(j.shard, attempt)
+		r := co.pick(home, attempt)
 		if r == nil {
 			// Nothing live right now: wait a probe period for the
 			// health loop to resurrect something, then rescan.
-			select {
-			case <-co.ctx.Done():
-				j.fail("fleet: coordinator shut down before the job completed", "")
-				return
-			case <-time.After(co.opts.ProbeInterval):
-				continue
+			if !co.pause() {
+				return stats.Results{}, via, errShutdown
 			}
+			continue
 		}
 		if attempt > 0 {
 			co.resubmits.Add(1)
 			co.logger.Warn("fleet resubmitting shard",
-				"job", j.id, "replica", r.name, "attempt", attempt,
-				"trace_id", j.traceID)
+				"job", j.ID(), "replica", r.name, "attempt", attempt,
+				"trace_id", j.Span().TraceID())
 		}
 		// One span per dispatch attempt, all siblings under the job
 		// span: a failover shows up in the timeline as a second
 		// fleet.dispatch span with attempt=1 next to the failed one.
-		sp := j.span.StartChild("fleet.dispatch")
+		sp := j.Span().StartChild("fleet.dispatch")
 		sp.SetAttr("replica", r.name)
 		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		done := co.runOn(r, j, sp)
-		sp.SetAttr("delivered", strconv.FormatBool(done))
+		res, delivered, err := co.runOn(r, j, sp)
+		sp.SetAttr("delivered", strconv.FormatBool(delivered))
 		sp.End()
-		if done {
-			return
+		if delivered {
+			return res, via, err
 		}
 		r.dispatchFailed()
 		if co.ctx.Err() != nil {
-			j.fail("fleet: coordinator shut down before the job completed", "")
-			return
+			return stats.Results{}, via, errShutdown
 		}
 	}
 }
 
-// finishInflight releases the job's admission slot.
-func (co *Coordinator) finishInflight() {
-	co.mu.Lock()
-	co.inflight--
-	co.mu.Unlock()
+// pause waits one probe period; false means the coordinator closed.
+func (co *Coordinator) pause() bool {
+	select {
+	case <-co.ctx.Done():
+		return false
+	case <-time.After(co.opts.ProbeInterval):
+		return true
+	}
 }
 
 // runOn runs the whole shard lifecycle against one replica: submit,
-// stream events (forwarded verbatim to the job's subscribers), fetch
-// the terminal status. It reports true when the job reached a terminal
-// state — including a *deterministic* simulation failure, which no
-// other replica would decide differently — and false when the replica
-// itself failed and the ring should move on. The dispatch-attempt span
-// rides the context so the replica-bound submit carries a traceparent
-// and the replica's job continues this job's trace.
-func (co *Coordinator) runOn(r *replica, j *fleetJob, sp *obs.ActiveSpan) (delivered bool) {
+// stream events (progress feeds the job's own event stream), fetch the
+// terminal status. delivered reports a verdict no other replica would
+// decide differently, and err is then the job's failure: a failed
+// simulation (the simulator is deterministic) or a 4xx other than 429
+// on submit (the request itself is refused). delivered is false when
+// the replica itself failed — transport error, 5xx, 429 — and the ring
+// should move on. The dispatch-attempt span rides the context so the
+// replica-bound submit carries a traceparent and the replica's job
+// continues this job's trace.
+func (co *Coordinator) runOn(r *replica, j *service.Job, sp *obs.ActiveSpan) (res stats.Results, delivered bool, err error) {
 	ctx := obs.NewContext(co.ctx, sp)
-	remote, err := r.c.SubmitJob(ctx, j.req)
-	if err != nil {
-		co.logger.Warn("fleet submit failed", "job", j.id, "replica", r.name, "error", err)
-		return false
-	}
+	// The shard counts as dispatched before the submit: a replica can
+	// accept it and lose the reply, and the orphan must still show.
 	r.started()
 	defer func() { r.finished(delivered) }()
+	remote, err := r.c.SubmitJob(ctx, j.Request())
+	if err != nil {
+		var apiErr *client.APIError
+		if errors.As(err, &apiErr) && apiErr.StatusCode/100 == 4 && apiErr.StatusCode != http.StatusTooManyRequests {
+			co.logger.Warn("fleet replica refused job", "job", j.ID(), "replica", r.name, "error", err)
+			return stats.Results{}, true, errors.New(apiErr.Message)
+		}
+		co.logger.Warn("fleet submit failed", "job", j.ID(), "replica", r.name, "error", err)
+		return stats.Results{}, false, nil
+	}
+	j.SetReplica(r.name)
 
 	err = r.c.StreamEvents(ctx, remote.ID, func(ev service.Event) error {
-		j.observe(ev, r.name)
+		if ev.State == service.StateRunning && ev.Cycles > 0 {
+			j.Progress(core.Progress{Cycle: ev.Cycles, Instructions: ev.Instructions})
+		}
 		return nil
 	})
 	if err != nil {
@@ -436,208 +303,112 @@ func (co *Coordinator) runOn(r *replica, j *fleetJob, sp *obs.ActiveSpan) (deliv
 		// have finished during the disconnect; otherwise fail over.
 		st, serr := r.c.Status(ctx, remote.ID)
 		if serr != nil || (st.State != service.StateDone && st.State != service.StateFailed) {
-			co.logger.Warn("fleet stream broke", "job", j.id, "replica", r.name, "error", err)
-			return false
+			co.logger.Warn("fleet stream broke", "job", j.ID(), "replica", r.name, "error", err)
+			return stats.Results{}, false, nil
 		}
 	}
 	st, err := r.c.Status(ctx, remote.ID)
 	if err != nil {
-		co.logger.Warn("fleet status fetch failed", "job", j.id, "replica", r.name, "error", err)
-		return false
+		co.logger.Warn("fleet status fetch failed", "job", j.ID(), "replica", r.name, "error", err)
+		return stats.Results{}, false, nil
 	}
-	switch st.State {
-	case service.StateDone:
-		j.complete(st, r.name)
-		co.done.Add(1)
-		co.logger.Info("fleet job done", "job", j.id, "replica", r.name, "trace_id", j.traceID)
-		return true
-	case service.StateFailed:
-		// The simulator is deterministic: a failed simulation fails
-		// everywhere. Retrying elsewhere would only duplicate the loss.
-		j.fail(st.Error, r.name)
-		co.failed.Add(1)
-		co.logger.Info("fleet job failed", "job", j.id, "replica", r.name, "error", st.Error, "trace_id", j.traceID)
-		return true
+	switch {
+	case st.State == service.StateDone && st.Results != nil:
+		return *st.Results, true, nil
+	case st.State == service.StateFailed:
+		return stats.Results{}, true, errors.New(st.Error)
 	default:
-		co.logger.Warn("fleet replica returned non-terminal state",
-			"job", j.id, "replica", r.name, "state", st.State)
-		return false
+		co.logger.Warn("fleet replica returned no terminal result",
+			"job", j.ID(), "replica", r.name, "state", st.State)
+		return stats.Results{}, false, nil
 	}
 }
 
-// fleetJob is the coordinator's job record: the same
-// subscribe/broadcast shape as the single box's job, holding the
-// remote result once a replica delivers it.
-type fleetJob struct {
-	id    string
-	req   service.JobRequest
-	key   string // shard key (fingerprint)
-	shard int    // home replica index
-
-	// span is the job's root (or request-parented) trace span, assigned
-	// once in admit before the dispatch goroutine starts; traceID is its
-	// immutable trace id, safe to read without j.mu.
-	span    *obs.ActiveSpan
-	traceID string
-
-	mu        sync.Mutex
-	state     string
-	replica   string // replica that delivered the terminal state
-	errMsg    string
-	results   *stats.Results
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	last      service.Event
-
-	terminal chan struct{}
-	subs     map[chan service.Event]struct{}
-}
-
-func (j *fleetJob) isTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == service.StateDone || j.state == service.StateFailed
-}
-
-// status snapshots the job in the single box's wire shape, plus the
-// replica attribution (omitted from JSON while empty, so a 1-replica
-// fleet's payloads only differ in that one field).
-func (j *fleetJob) status() service.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return service.JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Kernel:      j.req.Kernel,
-		Scale:       j.req.Scale,
-		Seed:        j.req.Seed,
-		TraceDigest: j.req.TraceDigest,
-		Priority:    j.req.Priority,
-		Replica:     j.replica,
-		TraceID:     j.traceID,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Error:       j.errMsg,
-		Results:     j.results,
-	}
-}
-
-// observe forwards one replica event to subscribers, tracking the
-// running transition. Terminal events are NOT forwarded here — the
-// terminal broadcast happens exactly once in complete/fail, so a
-// failover cannot leak a premature terminal line.
-func (j *fleetJob) observe(ev service.Event, replica string) {
-	if ev.State == service.StateDone || ev.State == service.StateFailed {
-		return
-	}
-	j.mu.Lock()
-	if j.state == service.StateQueued && ev.State == service.StateRunning {
-		j.state = service.StateRunning
-		j.started = time.Now()
-		j.replica = replica
-	}
-	j.last = ev
-	subs := make([]chan service.Event, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // a slow subscriber drops progress, never blocks the fleet
+// TraceSpans collects a job's replica-side spans from every reachable
+// replica's /v1/tracez?trace_id= — the replica that ran the job
+// contributes the admission→queue→run→sim spans, all under the same
+// trace id thanks to traceparent propagation on the dispatch hop. An
+// unreachable replica is skipped, not an error: a partial timeline
+// beats none while a box is down.
+func (co *Coordinator) TraceSpans(ctx context.Context, traceID string) []obs.Span {
+	var spans []obs.Span
+	for _, rep := range co.replicas {
+		if rep.health() == replicaDown {
+			continue
 		}
-	}
-}
-
-// complete records the terminal done state exactly once.
-func (j *fleetJob) complete(st service.JobStatus, replica string) {
-	j.mu.Lock()
-	if j.state == service.StateDone || j.state == service.StateFailed {
-		j.mu.Unlock()
-		return
-	}
-	j.state = service.StateDone
-	j.replica = replica
-	j.results = st.Results
-	if j.started.IsZero() {
-		j.started = st.StartedAt
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.span.SetAttr("state", service.StateDone)
-	j.span.SetAttr("replica", replica)
-	j.span.End()
-	close(j.terminal)
-}
-
-// fail records the terminal failed state exactly once.
-func (j *fleetJob) fail(msg, replica string) {
-	j.mu.Lock()
-	if j.state == service.StateDone || j.state == service.StateFailed {
-		j.mu.Unlock()
-		return
-	}
-	j.state = service.StateFailed
-	j.errMsg = msg
-	if replica != "" {
-		j.replica = replica
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.span.SetAttr("state", service.StateFailed)
-	j.span.SetAttr("error", msg)
-	if replica != "" {
-		j.span.SetAttr("replica", replica)
-	}
-	j.span.End()
-	close(j.terminal)
-}
-
-// subscribe registers for events and returns the channel plus the
-// current snapshot-as-event.
-func (j *fleetJob) subscribe() (chan service.Event, service.Event) {
-	ch := make(chan service.Event, 16)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.subs[ch] = struct{}{}
-	return ch, j.snapshotEventLocked()
-}
-
-func (j *fleetJob) unsubscribe(ch chan service.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.subs, ch)
-}
-
-// snapshotEventLocked renders the current state as one event line.
-// Synthesized lines carry the coordinator-side trace id; forwarded
-// replica progress already carries the same id, because the replica's
-// job continued this trace over the dispatch hop.
-func (j *fleetJob) snapshotEventLocked() service.Event {
-	switch j.state {
-	case service.StateRunning:
-		if j.last.State == service.StateRunning {
-			return j.last
+		tz, err := rep.c.Tracez(ctx, traceID, 0)
+		if err != nil {
+			co.logger.Warn("fleet trace fetch failed", "replica", rep.name, "error", err)
+			continue
 		}
-		return service.Event{State: service.StateRunning, TraceID: j.traceID}
-	case service.StateDone:
-		return service.Event{State: service.StateDone, TraceID: j.traceID}
-	case service.StateFailed:
-		return service.Event{State: service.StateFailed, Error: j.errMsg, TraceID: j.traceID}
-	default:
-		return service.Event{State: service.StateQueued, TraceID: j.traceID}
+		spans = append(spans, tz.Spans...)
 	}
+	return spans
 }
 
-// terminalEvent is the final stream line.
-func (j *fleetJob) terminalEvent() service.Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == service.StateFailed {
-		return service.Event{State: service.StateFailed, Error: j.errMsg, TraceID: j.traceID}
+// ReplicaStatus is one replica's slice of the fleet statsz payload.
+type ReplicaStatus struct {
+	Name       string `json:"name"`
+	Base       string `json:"base"`
+	State      string `json:"state"`
+	InFlight   int    `json:"in_flight"`
+	Dispatched int64  `json:"dispatched"`
+	Completed  int64  `json:"completed"`
+}
+
+// CoordinatorStats is the coordinator section of fleet statsz.
+type CoordinatorStats struct {
+	Capacity   int   `json:"capacity"`
+	InFlight   int   `json:"in_flight"`
+	Submitted  int64 `json:"submitted"`
+	Done       int64 `json:"done"`
+	Failed     int64 `json:"failed"`
+	Resubmits  int64 `json:"resubmits"`
+	LiveShards int   `json:"live_replicas"`
+}
+
+// Stats is the GET /v1/statsz payload of a coordinator: fleet-shaped
+// (role distinguishes it from a replica's payload), same schema
+// versioning discipline.
+type Stats struct {
+	SchemaVersion int              `json:"schema_version"`
+	Role          string           `json:"role"`
+	UptimeSec     float64          `json:"uptime_sec"`
+	Coordinator   CoordinatorStats `json:"coordinator"`
+	Replicas      []ReplicaStatus  `json:"replicas"`
+}
+
+// Stats snapshots the coordinator counters and per-replica health.
+func (co *Coordinator) Stats() Stats { return co.Statsz(co.Server.Stats()).(Stats) }
+
+// Statsz reshapes the front door's counters into the fleet statsz
+// payload.
+func (co *Coordinator) Statsz(front service.ServerStats) any {
+	st := Stats{
+		SchemaVersion: front.SchemaVersion,
+		Role:          "coordinator",
+		UptimeSec:     front.UptimeSec,
+		Coordinator: CoordinatorStats{
+			Capacity:   front.Queue.Capacity,
+			InFlight:   front.Queue.Depth + front.Queue.Running,
+			Submitted:  front.Queue.Submitted,
+			Done:       front.Queue.Done,
+			Failed:     front.Queue.Failed,
+			Resubmits:  co.resubmits.Load(),
+			LiveShards: co.liveReplicas(),
+		},
 	}
-	return service.Event{State: service.StateDone, TraceID: j.traceID}
+	for _, r := range co.replicas {
+		r.mu.Lock()
+		st.Replicas = append(st.Replicas, ReplicaStatus{
+			Name:       r.name,
+			Base:       r.base,
+			State:      r.state.String(),
+			InFlight:   r.inflight,
+			Dispatched: r.dispatched,
+			Completed:  r.completed,
+		})
+		r.mu.Unlock()
+	}
+	return st
 }

@@ -2,8 +2,10 @@ package fleet
 
 // Coordinator unit tests: deterministic shard assignment, the
 // admission/backpressure contract, wire-envelope compatibility with
-// the single box, and the 1-vs-3-replica byte-identity acceptance
-// criterion. The chaos/kill scenario lives in chaos_test.go.
+// the single box, the 1-vs-3-replica byte-identity acceptance
+// criterion, and a replica's refusal as a terminal verdict. The
+// chaos/kill scenario lives in chaos_test.go; single-box equivalence
+// and tenants in frontdoor_test.go.
 
 import (
 	"bytes"
@@ -158,6 +160,17 @@ func TestShardKeyValidates(t *testing.T) {
 		if _, err := shardKey(req); err == nil {
 			t.Errorf("shardKey accepted %+v", req)
 		}
+	}
+}
+
+// TestNewRejectsEngineOptions: a coordinator runs no engine, so engine
+// settings are refused instead of silently ignored.
+func TestNewRejectsEngineOptions(t *testing.T) {
+	opts := Options{Replicas: []string{"http://127.0.0.1:1"}}
+	opts.CacheDir = t.TempDir()
+	if co, err := New(opts); err == nil {
+		co.Close()
+		t.Fatal("New accepted a coordinator with a result cache")
 	}
 }
 
@@ -389,4 +402,39 @@ func mustBuild(t *testing.T, m config.MachineSpec) config.Config {
 // clientRetryFast is the test-speed retry policy.
 func clientRetryFast() client.RetryPolicy {
 	return client.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond}
+}
+
+// TestReplicaRefusalFailsJob: a replica's 4xx verdict on a job is
+// deterministic — every replica would refuse the same request — so the
+// job fails after one dispatch with the replica's message, without a
+// resubmission and without demoting the replica. A trace job sent to
+// replicas that have no trace store is the canonical case.
+func TestReplicaRefusalFailsJob(t *testing.T) {
+	tf := newTestFleet(t, 2, nil, nil)
+	st, err := tf.co.Submit(service.JobRequest{
+		Machine:     config.MachineSpec{Clusters: "2"},
+		TraceDigest: "sha256:" + strings.Repeat("ab", 32),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st.State != service.StateDone && st.State != service.StateFailed && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		if st, err = tf.co.Status(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.State != service.StateFailed || !strings.Contains(st.Error, "no trace store") {
+		t.Fatalf("job = %s %q, want failed with the replica's no-trace-store message", st.State, st.Error)
+	}
+	zs := tf.co.Stats()
+	if zs.Coordinator.Resubmits != 0 || zs.Coordinator.Failed != 1 {
+		t.Errorf("coordinator = %+v, want 0 resubmits and 1 failed job", zs.Coordinator)
+	}
+	for _, r := range zs.Replicas {
+		if r.State != "up" {
+			t.Errorf("replica %s state = %q after refusing a job, want up", r.Name, r.State)
+		}
+	}
 }

@@ -52,7 +52,7 @@ type replica struct {
 	state       replicaHealth
 	consecFails int
 	inflight    int   // shards currently dispatched here
-	dispatched  int64 // lifetime shard submissions
+	dispatched  int64 // lifetime dispatch attempts
 	completed   int64 // lifetime terminal shards delivered
 }
 
@@ -79,8 +79,8 @@ func (r *replica) started() {
 }
 
 // finished closes the bracket; delivered says whether the replica
-// actually answered with a terminal state (false = the shard was
-// orphaned there and Dispatched-Completed keeps the scar).
+// actually answered with a verdict (false = the shard was orphaned
+// there and Dispatched-Completed keeps the scar).
 func (r *replica) finished(delivered bool) {
 	r.mu.Lock()
 	r.inflight--

@@ -71,7 +71,7 @@ func TestFleetHopSharesTrace(t *testing.T) {
 	}
 
 	// Coordinator side: job root + at least one dispatch attempt.
-	coSpans := waitSpans(t, tf.co.spans, st.TraceID, 1)
+	coSpans := waitSpans(t, tf.co.Spans(), st.TraceID, 1)
 	var jobRoot obs.Span
 	for _, sp := range coSpans {
 		if strings.HasPrefix(sp.Name, "job f-") {
@@ -169,7 +169,7 @@ func TestFailoverSecondDispatchSpan(t *testing.T) {
 		t.Fatalf("resubmits = %d, want >= 1", n)
 	}
 
-	spans := waitSpans(t, tf.co.spans, st.TraceID, 2)
+	spans := waitSpans(t, tf.co.Spans(), st.TraceID, 2)
 	dispatches := dispatchSpans(spans)
 	if len(dispatches) < 2 {
 		t.Fatalf("trace has %d dispatch spans after a failover, want >= 2: %+v", len(dispatches), spans)

@@ -441,5 +441,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, http.StatusOK, s.backend.Statsz(s.Stats()))
 }

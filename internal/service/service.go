@@ -13,7 +13,9 @@
 // spirit of deterministic work-sharding for parallel search frameworks.
 //
 // cmd/clusterd wraps this package in a binary; service/client speaks
-// the HTTP API (clustersim -remote uses it).
+// the HTTP API (clustersim -remote uses it). A fleet coordinator
+// (service/fleet) is the same Server over a Backend that dispatches
+// jobs to replicas instead of running them (see backend.go).
 package service
 
 import (
@@ -33,7 +35,6 @@ import (
 	"clustervp/internal/runner"
 	"clustervp/internal/stats"
 	"clustervp/internal/trace"
-	"clustervp/internal/workload"
 )
 
 // Job lifecycle states: queued → running → done | failed.
@@ -194,7 +195,9 @@ type ServerStats struct {
 type Options struct {
 	// Workers bounds concurrent simulations (<=0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds queued-but-not-running jobs (<=0 = 1024).
+	// QueueDepth bounds queued-but-not-running jobs (<=0 = 1024). On a
+	// coordinator, which dispatches every admitted job at once, it
+	// bounds in-flight jobs (queued plus running) instead.
 	QueueDepth int
 	// CacheDir roots the persistent result cache; empty disables it
 	// (the in-memory memo still deduplicates within the process).
@@ -232,14 +235,24 @@ type Options struct {
 	Run func(runner.Job) (stats.Results, error)
 }
 
-// Server is the simulation job server. Create with New, expose with
-// Handler, stop with Close.
+// Server is the clusterd front door: the HTTP API, tenants, admission,
+// job records and their event streams, over a Backend that executes
+// the admitted jobs. Create a single box with New or a fleet
+// coordinator's front door with NewCoordinator, expose with Handler,
+// stop with Close.
 type Server struct {
-	opts  Options
-	eng   *runner.Engine
-	cache *runner.DiskCache // nil when disabled
-	store *trace.Store      // nil when disabled
-	start time.Time
+	opts    Options
+	backend Backend
+	eng     *runner.Engine // nil on a coordinator
+	store   *trace.Store   // nil when disabled, always on a coordinator
+	start   time.Time
+
+	// dispatch marks a coordinator: every admitted job goes to the
+	// backend at once on its own goroutine, so QueueDepth bounds
+	// in-flight jobs. idPrefix starts job IDs ("j-" single box, "f-"
+	// coordinator).
+	dispatch bool
+	idPrefix string
 
 	// Tenant registry: immutable after New. multiTenant switches the
 	// HTTP layer into key-required mode; anonymous is the principal of
@@ -253,7 +266,7 @@ type Server struct {
 	spans   *obs.Collector
 
 	mu      sync.Mutex
-	jobs    map[string]*job
+	jobs    map[string]*Job
 	order   []string // job IDs in submission order, for record eviction
 	queue   jobHeap
 	nextSeq int64
@@ -261,8 +274,8 @@ type Server struct {
 
 	submitted, done, failed atomic.Int64
 
-	// avail carries one token per queued job; workers block on it, so a
-	// token received guarantees a non-empty queue.
+	// avail carries one token per queued job; pool workers block on it,
+	// so a token received guarantees a non-empty queue.
 	avail chan struct{}
 	quit  chan struct{}
 	wg    sync.WaitGroup
@@ -270,19 +283,69 @@ type Server struct {
 	// handler is the route table, built once in New (ServeHTTP must not
 	// rebuild a mux per request).
 	handler http.Handler
-
-	// fanouts fans simulation progress out to every service job
-	// currently running one fingerprint (the engine deduplicates
-	// executions; events must not be deduplicated with them). All
-	// registry mutations happen under fanMu so a finishing job's
-	// remove-and-delete cannot race a starting job's lookup-or-create
-	// into a dropped registration.
-	fanMu   sync.Mutex
-	fanouts map[string]*fanout
 }
 
-// New builds and starts a server (its workers run until Close).
+// New builds and starts a single box: the front door over the local
+// engine, whose workers run until Close.
 func New(opts Options) (*Server, error) {
+	s, err := newServer(opts, "clusterd", "j-")
+	if err != nil {
+		return nil, err
+	}
+	b := &engineBackend{
+		run:              s.opts.Run,
+		progressInterval: s.opts.ProgressInterval,
+		fanouts:          make(map[string]*fanout),
+	}
+	var cache runner.ResultCache
+	if opts.CacheDir != "" {
+		dc, err := runner.NewDiskCache(opts.CacheDir)
+		if err != nil {
+			return nil, fmt.Errorf("service: result cache: %w", err)
+		}
+		cache = dc
+	}
+	if opts.TraceDir != "" {
+		st, err := trace.NewStore(opts.TraceDir)
+		if err != nil {
+			return nil, fmt.Errorf("service: trace store: %w", err)
+		}
+		s.store, b.store = st, st
+	}
+	b.eng = runner.New(runner.Options{
+		Workers: opts.Workers,
+		Cache:   cache,
+		Run:     b.simulate,
+	})
+	s.backend, s.eng = b, b.eng
+	s.avail = make(chan struct{}, s.opts.QueueDepth)
+	for i := 0; i < s.eng.Workers(); i++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s, nil
+}
+
+// NewCoordinator builds the front door of a fleet coordinator over a
+// dispatching Backend: every admitted job goes to b.Execute at once,
+// so opts.QueueDepth bounds in-flight jobs. A coordinator runs no
+// engine of its own, so the engine fields of opts must stay zero.
+func NewCoordinator(opts Options, b Backend) (*Server, error) {
+	if opts.Workers != 0 || opts.CacheDir != "" || opts.TraceDir != "" ||
+		opts.ProgressInterval != 0 || opts.MaxTraceBytes != 0 || opts.Run != nil {
+		return nil, errors.New("service: a coordinator runs no engine: Workers, CacheDir, TraceDir, ProgressInterval, MaxTraceBytes and Run must be unset")
+	}
+	s, err := newServer(opts, "coordinator", "f-")
+	if err != nil {
+		return nil, err
+	}
+	s.backend, s.dispatch = b, true
+	return s, nil
+}
+
+// newServer builds the backend-independent half of a Server; the
+// constructors attach the backend.
+func newServer(opts Options, service, idPrefix string) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 1024
 	}
@@ -300,110 +363,35 @@ func New(opts Options) (*Server, error) {
 		// never be tighter than the queue bound.
 		opts.MaxJobRecords = opts.QueueDepth
 	}
+	if err := validateTenants(opts.Tenants); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		opts:    opts,
-		start:   time.Now(),
-		jobs:    make(map[string]*job),
-		avail:   make(chan struct{}, opts.QueueDepth),
-		quit:    make(chan struct{}),
-		fanouts: make(map[string]*fanout),
-		logger:  logger,
-		metrics: newMetrics(),
-		spans:   obs.NewCollector("clusterd", opts.SpanRing),
-	}
-	if err := validateTenants(opts.Tenants); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+		opts:     opts,
+		start:    time.Now(),
+		idPrefix: idPrefix,
+		jobs:     make(map[string]*Job),
+		quit:     make(chan struct{}),
+		logger:   logger,
+		metrics:  newMetrics(),
+		spans:    obs.NewCollector(service, opts.SpanRing),
 	}
 	s.tenants, s.anonymous = newTenantStates(opts.Tenants)
 	s.multiTenant = len(opts.Tenants) > 0
-	var cache runner.ResultCache
-	if opts.CacheDir != "" {
-		dc, err := runner.NewDiskCache(opts.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("service: result cache: %w", err)
-		}
-		s.cache = dc
-		cache = dc
-	}
-	if opts.TraceDir != "" {
-		st, err := trace.NewStore(opts.TraceDir)
-		if err != nil {
-			return nil, fmt.Errorf("service: trace store: %w", err)
-		}
-		s.store = st
-	}
-	s.eng = runner.New(runner.Options{
-		Workers: opts.Workers,
-		Cache:   cache,
-		Run:     s.simulate,
-	})
 	s.handler = s.buildHandler()
-	for i := 0; i < s.eng.Workers(); i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s, nil
-}
-
-// simulate is the engine's run function: the real simulator with
-// progress fanned out to every job sharing the fingerprint, or the
-// injected test stub. The simulation's spans (materialize/run/warmup)
-// parent under the first attached job's run span — the engine
-// deduplicates executions by fingerprint, so the one simulation's
-// timeline lands in one job's trace; the duplicates record a memo-hit
-// via instead.
-func (s *Server) simulate(j runner.Job) (stats.Results, error) {
-	if s.opts.Run != nil {
-		return s.opts.Run(j)
-	}
-	if f := s.fanoutLookup(j.Fingerprint()); f != nil {
-		return runner.SimulateTraced(j, s.opts.ProgressInterval, f.publish, f.parentSpan())
-	}
-	return runner.Simulate(j)
 }
 
 // Spans exposes the tracing collector (the /v1/tracez and
 // /v1/jobs/{id}/trace surfaces; tests read it directly).
 func (s *Server) Spans() *obs.Collector { return s.spans }
 
-// fanoutLookup returns the fanout currently registered for a
-// fingerprint, or nil.
-func (s *Server) fanoutLookup(fp string) *fanout {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	return s.fanouts[fp]
-}
-
-// fanoutAttach registers j for progress on its fingerprint, creating
-// the fanout if needed.
-func (s *Server) fanoutAttach(j *job) {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	f := s.fanouts[j.fp]
-	if f == nil {
-		f = &fanout{}
-		s.fanouts[j.fp] = f
-	}
-	f.add(j)
-}
-
-// fanoutDetach removes j and drops the fanout when it was the last
-// attached job. Attach and detach share fanMu, so a detach can never
-// delete a fanout a concurrent attach just joined.
-func (s *Server) fanoutDetach(j *job) {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	if f := s.fanouts[j.fp]; f != nil && f.remove(j) == 0 {
-		delete(s.fanouts, j.fp)
-	}
-}
-
 // Engine exposes the underlying grid engine (counters for statsz and
-// tests).
+// tests); nil on a coordinator.
 func (s *Server) Engine() *runner.Engine { return s.eng }
 
 // TraceStore exposes the content-addressed trace store (nil when
@@ -412,41 +400,11 @@ func (s *Server) TraceStore() *trace.Store { return s.store }
 
 // Close stops the workers after their current jobs; queued jobs stay
 // queued (a restarted server re-resolves them from the cache anyway).
+// A coordinator waits for its dispatches, so its backend must abort
+// them first.
 func (s *Server) Close() {
 	close(s.quit)
 	s.wg.Wait()
-}
-
-// buildJob validates a request into an executable job. Every failure
-// wraps ErrBadRequest.
-func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
-	cfg, err := req.Machine.Build()
-	if err != nil {
-		return runner.Job{}, fmt.Errorf("%w: machine: %v", ErrBadRequest, err)
-	}
-	switch {
-	case req.TraceDigest != "" && req.Kernel != "":
-		return runner.Job{}, fmt.Errorf("%w: kernel and trace_digest are mutually exclusive", ErrBadRequest)
-	case req.TraceDigest != "":
-		if s.store == nil {
-			return runner.Job{}, fmt.Errorf("%w: this server has no trace store", ErrBadRequest)
-		}
-		path, err := s.store.Path(req.TraceDigest)
-		if err != nil {
-			return runner.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		if !s.store.Has(req.TraceDigest) {
-			return runner.Job{}, fmt.Errorf("%w: trace %s not uploaded", ErrBadRequest, req.TraceDigest)
-		}
-		return runner.Job{Config: cfg, Trace: path}, nil
-	case req.Kernel != "":
-		if _, err := workload.ByName(req.Kernel); err != nil {
-			return runner.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}, nil
-	default:
-		return runner.Job{}, fmt.Errorf("%w: one of kernel or trace_digest is required", ErrBadRequest)
-	}
 }
 
 // Submit validates and enqueues one job as the anonymous tenant,
@@ -461,7 +419,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 // roots the job's trace under the caller's — so a coordinator-
 // dispatched job shares the coordinator's trace id.
 func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan) (JobStatus, error) {
-	rjob, err := s.buildJob(req)
+	rjob, key, err := s.backend.Prepare(req)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -470,7 +428,7 @@ func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan
 	if err := s.admitLocked(t, 1); err != nil {
 		return JobStatus{}, err
 	}
-	j := s.enqueueLocked(t, req, rjob, parent)
+	j := s.enqueueLocked(t, req, rjob, key, parent)
 	s.logger.Info("job submitted",
 		"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "priority", j.priority,
 		"trace_id", j.traceID)
@@ -500,16 +458,18 @@ func (s *Server) submitGridAs(t *tenantState, req GridRequest) ([]string, error)
 	}
 	var reqs []JobRequest
 	var rjobs []runner.Job
+	var keys []string
 	for _, m := range req.Machines {
 		for _, k := range req.Kernels {
 			for _, sc := range scales {
 				jr := JobRequest{Machine: m, Kernel: k, Scale: sc, Seed: req.Seed, Priority: req.Priority}
-				rj, err := s.buildJob(jr)
+				rj, key, err := s.backend.Prepare(jr)
 				if err != nil {
 					return nil, err
 				}
 				reqs = append(reqs, jr)
 				rjobs = append(rjobs, rj)
+				keys = append(keys, key)
 			}
 		}
 	}
@@ -520,7 +480,7 @@ func (s *Server) submitGridAs(t *tenantState, req GridRequest) ([]string, error)
 	}
 	ids := make([]string, len(reqs))
 	for i := range reqs {
-		ids[i] = s.enqueueLocked(t, reqs[i], rjobs[i], nil).id
+		ids[i] = s.enqueueLocked(t, reqs[i], rjobs[i], keys[i], nil).id
 	}
 	s.logger.Info("grid submitted", "tenant", t.cfg.Name, "jobs", len(ids))
 	return ids, nil
@@ -531,14 +491,18 @@ func (s *Server) submitGridAs(t *tenantState, req GridRequest) ([]string, error)
 // quota_exceeded); s.mu must be held. Rejections count as load
 // shedding for the tenant and the server.
 func (s *Server) admitLocked(t *tenantState, n int) error {
-	if len(s.queue)+n > s.opts.QueueDepth {
+	backlog := len(s.queue)
+	if s.dispatch {
+		backlog += s.running
+	}
+	if backlog+n > s.opts.QueueDepth {
 		t.shed.Add(1)
 		s.metrics.loadShed("queue_full")
 		s.logger.Warn("load shed: queue full",
-			"tenant", t.cfg.Name, "jobs", n, "queue_depth", len(s.queue), "queue_capacity", s.opts.QueueDepth)
+			"tenant", t.cfg.Name, "jobs", n, "queue_depth", backlog, "queue_capacity", s.opts.QueueDepth)
 		if n > 1 {
 			return fmt.Errorf("%w: grid of %d jobs exceeds free queue capacity %d",
-				ErrQueueFull, n, s.opts.QueueDepth-len(s.queue))
+				ErrQueueFull, n, s.opts.QueueDepth-backlog)
 		}
 		return ErrQueueFull
 	}
@@ -568,17 +532,17 @@ func (s *Server) admitLocked(t *tenantState, n int) error {
 // job's timeline — as a child of the submitting request's span when
 // one is given (continuing a coordinator's trace across the hop), or
 // as a fresh root otherwise. The queue.wait child starts immediately
-// and ends when a worker picks the job up.
-func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, parent *obs.ActiveSpan) *job {
+// and ends when the job is picked up.
+func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, key string, parent *obs.ActiveSpan) *Job {
 	s.nextSeq++
-	j := &job{
-		id:        fmt.Sprintf("j-%08d", s.nextSeq),
+	j := &Job{
+		id:        fmt.Sprintf("%s%08d", s.idPrefix, s.nextSeq),
 		seq:       s.nextSeq,
 		priority:  t.clampPriority(req.Priority),
 		tenant:    t,
 		req:       req,
 		rjob:      rjob,
-		fp:        rjob.Fingerprint(),
+		fp:        key,
 		state:     StateQueued,
 		submitted: time.Now(),
 		terminal:  make(chan struct{}),
@@ -607,7 +571,17 @@ func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, 
 	s.submitted.Add(1)
 	t.submitted.Add(1)
 	t.queued++
-	s.avail <- struct{}{}
+	if s.dispatch {
+		// Started under s.mu, so it pops only after the caller has
+		// taken the job's queued snapshot.
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.runNext()
+		}()
+	} else {
+		s.avail <- struct{}{}
+	}
 	return j
 }
 
@@ -657,7 +631,7 @@ func (s *Server) Status(id string) (JobStatus, error) {
 // tenant. Another tenant's job reads as not-found, never as forbidden:
 // job IDs are sequential, and a 403 would confirm to a prober that the
 // ID exists.
-func (s *Server) lookupFor(t *tenantState, id string) (*job, bool) {
+func (s *Server) lookupFor(t *tenantState, id string) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -668,7 +642,8 @@ func (s *Server) lookupFor(t *tenantState, id string) (*job, bool) {
 }
 
 // Stats snapshots the server counters into the versioned statsz
-// schema: nested queue/cache/engine/tenants sections.
+// schema: nested queue/cache/engine/tenants sections. A coordinator
+// has no engine, so its workers, cache and engine sections read zero.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	depth := len(s.queue)
@@ -680,7 +655,6 @@ func (s *Server) Stats() ServerStats {
 		SchemaVersion: SchemaVersion,
 		UptimeSec:     uptime,
 		Queue: QueueStats{
-			Workers:   s.eng.Workers(),
 			Capacity:  s.opts.QueueDepth,
 			Depth:     depth,
 			Running:   running,
@@ -688,15 +662,18 @@ func (s *Server) Stats() ServerStats {
 			Done:      s.done.Load(),
 			Failed:    s.failed.Load(),
 		},
-		Cache: CacheStats{
+		Tenants: tenants,
+	}
+	if s.eng != nil {
+		st.Queue.Workers = s.eng.Workers()
+		st.Cache = CacheStats{
 			Hits:      s.eng.CacheHits(),
 			PutErrors: s.eng.CachePutErrors(),
-		},
-		Engine: EngineStats{
+		}
+		st.Engine = EngineStats{
 			SimulationsExecuted: s.eng.Executed(),
 			SimInstructions:     s.eng.SimInstructions(),
-		},
-		Tenants: tenants,
+		}
 	}
 	if u := st.Engine.SimulationsExecuted + st.Cache.Hits; u > 0 {
 		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(u)
@@ -725,110 +702,65 @@ func (s *Server) worker() {
 				return
 			default:
 			}
-			s.mu.Lock()
-			j := heap.Pop(&s.queue).(*job)
-			s.running++
-			j.tenant.queued--
-			j.tenant.running++
-			s.mu.Unlock()
-			s.execute(j)
-			s.mu.Lock()
-			s.running--
-			j.tenant.running--
-			s.mu.Unlock()
+			s.runNext()
 		}
 	}
 }
 
-// execute runs one job through the engine, fanning progress out to
-// every job that shares the fingerprint while it runs, and attributes
-// the outcome — including how it was resolved — to the job's tenant.
-func (s *Server) execute(j *job) {
+// runNext pops the highest-priority queued job and executes it. A pool
+// worker calls it once per avail token; a coordinator once per
+// admitted job.
+func (s *Server) runNext() {
+	s.mu.Lock()
+	j := heap.Pop(&s.queue).(*Job)
+	s.running++
+	j.tenant.queued--
+	j.tenant.running++
+	s.mu.Unlock()
+	s.execute(j)
+	s.mu.Lock()
+	s.running--
+	j.tenant.running--
+	s.mu.Unlock()
+}
+
+// execute runs one job through the backend and attributes the outcome
+// — including how it was resolved — to the job's tenant.
+func (s *Server) execute(j *Job) {
 	j.setRunning()
-	s.fanoutAttach(j)
-	r := s.eng.Run([]runner.Job{j.rjob})[0]
-	s.fanoutDetach(j)
-	j.runSpan.SetAttr("via", r.Via.String())
+	res, via, err := s.backend.Execute(j)
+	j.runSpan.SetAttr("via", via)
 	j.runSpan.End()
 	t := j.tenant
-	if r.Err != nil {
+	if err != nil {
 		s.failed.Add(1)
 		t.failed.Add(1)
 		s.logger.Warn("job failed",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
-			"trace_id", j.traceID, "error", r.Err.Error())
+			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", via,
+			"trace_id", j.traceID, "error", err.Error())
 	} else {
 		s.done.Add(1)
 		t.done.Add(1)
-		if r.Via == runner.ViaCache {
+		if via == runner.ViaCache.String() {
 			t.cacheHits.Add(1)
 		}
 		s.logger.Info("job done",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
+			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", via,
 			"trace_id", j.traceID,
-			"cycles", r.Res.Cycles, "instructions", r.Res.Instructions)
+			"cycles", res.Cycles, "instructions", res.Instructions)
 	}
-	j.finish(r.Res, r.Err)
+	j.finish(res, err)
 	// The duration histograms derive from the same span clock the trace
 	// endpoints expose, so the two observability surfaces cannot drift.
-	s.metrics.observeJob(r.Via.String(),
+	s.metrics.observeJob(via,
 		j.queueSpan.EndTime().Sub(j.queueSpan.StartTime()),
 		j.span.EndTime().Sub(j.span.StartTime()))
 }
 
-// fanout broadcasts core progress to the service jobs currently
-// running one fingerprint.
-type fanout struct {
-	mu   sync.Mutex
-	jobs []*job
-}
-
-func (f *fanout) add(j *job) {
-	f.mu.Lock()
-	f.jobs = append(f.jobs, j)
-	f.mu.Unlock()
-}
-
-// parentSpan returns the first attached job's run span — the parent
-// for the simulation's own spans. Reading j.runSpan here is safe: it
-// is assigned before fanoutAttach publishes the job, and both the add
-// and this read synchronize on f.mu.
-func (f *fanout) parentSpan() *obs.ActiveSpan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, j := range f.jobs {
-		if j.runSpan != nil {
-			return j.runSpan
-		}
-	}
-	return nil
-}
-
-// remove drops j and returns the remaining count.
-func (f *fanout) remove(j *job) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, x := range f.jobs {
-		if x == j {
-			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
-			break
-		}
-	}
-	return len(f.jobs)
-}
-
-// publish delivers one progress snapshot to every attached job. Called
-// from the simulation goroutine: it must stay cheap and non-blocking.
-func (f *fanout) publish(p core.Progress) {
-	f.mu.Lock()
-	for _, j := range f.jobs {
-		j.progress(p)
-	}
-	f.mu.Unlock()
-}
-
-// job is the server-side record of one submitted simulation.
-type job struct {
+// Job is the server-side record of one admitted job: request,
+// lifecycle, result and event subscribers. A Backend's Execute works
+// on it through the exported methods.
+type Job struct {
 	id       string
 	seq      int64
 	priority int
@@ -850,6 +782,7 @@ type job struct {
 
 	mu        sync.Mutex
 	state     string
+	replica   string
 	res       stats.Results
 	hasRes    bool
 	errMsg    string
@@ -861,8 +794,34 @@ type job struct {
 	terminal  chan struct{}
 }
 
+// ID returns the job's ID.
+func (j *Job) ID() string { return j.id }
+
+// Request returns the job's request with the priority its tenant is
+// entitled to.
+func (j *Job) Request() JobRequest {
+	req := j.req
+	req.Priority = j.priority
+	return req
+}
+
+// Key returns the content-addressed key Backend.Prepare assigned.
+func (j *Job) Key() string { return j.fp }
+
+// Span returns the job's root span, under which a backend hangs its
+// own spans.
+func (j *Job) Span() *obs.ActiveSpan { return j.span }
+
+// SetReplica attributes the job to the fleet replica executing it.
+func (j *Job) SetReplica(name string) {
+	j.mu.Lock()
+	j.replica = name
+	j.mu.Unlock()
+	j.span.SetAttr("replica", name)
+}
+
 // status snapshots the job as its wire representation.
-func (j *job) status() JobStatus {
+func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	tenant := ""
@@ -874,10 +833,11 @@ func (j *job) status() JobStatus {
 		State:       j.state,
 		Tenant:      tenant,
 		Kernel:      j.req.Kernel,
-		Scale:       j.rjob.EffectiveScale(),
+		Scale:       max(j.req.Scale, 1),
 		Seed:        j.req.Seed,
 		TraceDigest: j.req.TraceDigest,
 		Priority:    j.priority,
+		Replica:     j.replica,
 		TraceID:     j.traceID,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
@@ -894,7 +854,7 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-func (j *job) setRunning() {
+func (j *Job) setRunning() {
 	j.queueSpan.End()
 	j.runSpan = j.span.StartChild("job.run")
 	j.mu.Lock()
@@ -904,7 +864,7 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *job) finish(res stats.Results, err error) {
+func (j *Job) finish(res stats.Results, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if err != nil {
@@ -922,8 +882,9 @@ func (j *job) finish(res stats.Results, err error) {
 	j.span.End()
 }
 
-// progress records a snapshot and broadcasts it to subscribers.
-func (j *job) progress(p core.Progress) {
+// Progress records a progress snapshot of the running job and
+// broadcasts it to the job's event subscribers.
+func (j *Job) Progress(p core.Progress) {
 	j.mu.Lock()
 	j.lastProg = p
 	j.broadcastLocked(Event{
@@ -938,7 +899,7 @@ func (j *job) progress(p core.Progress) {
 // broadcastLocked delivers an event to every subscriber without
 // blocking: a slow events reader drops intermediate progress, never
 // stalls the simulation.
-func (j *job) broadcastLocked(ev Event) {
+func (j *Job) broadcastLocked(ev Event) {
 	ev.TraceID = j.traceID
 	for ch := range j.subs {
 		select {
@@ -950,7 +911,7 @@ func (j *job) broadcastLocked(ev Event) {
 
 // subscribe attaches an event channel and returns it with the current
 // state snapshot.
-func (j *job) subscribe() (chan Event, Event) {
+func (j *Job) subscribe() (chan Event, Event) {
 	ch := make(chan Event, 32)
 	j.mu.Lock()
 	j.subs[ch] = struct{}{}
@@ -959,14 +920,14 @@ func (j *job) subscribe() (chan Event, Event) {
 	return ch, snap
 }
 
-func (j *job) unsubscribe(ch chan Event) {
+func (j *Job) unsubscribe(ch chan Event) {
 	j.mu.Lock()
 	delete(j.subs, ch)
 	j.mu.Unlock()
 }
 
 // snapshotEventLocked renders the job's current state as one event.
-func (j *job) snapshotEventLocked() Event {
+func (j *Job) snapshotEventLocked() Event {
 	ev := Event{State: j.state, Error: j.errMsg, TraceID: j.traceID}
 	switch {
 	case j.hasRes:
@@ -982,7 +943,7 @@ func (j *job) snapshotEventLocked() Event {
 }
 
 // terminalEvent is the final NDJSON line of an events stream.
-func (j *job) terminalEvent() Event {
+func (j *Job) terminalEvent() Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.snapshotEventLocked()
@@ -990,7 +951,7 @@ func (j *job) terminalEvent() Event {
 
 // jobHeap orders the queue by (priority desc, submission seq asc):
 // deterministic pop order regardless of worker count.
-type jobHeap []*job
+type jobHeap []*Job
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(a, b int) bool {
@@ -1000,7 +961,7 @@ func (h jobHeap) Less(a, b int) bool {
 	return h[a].seq < h[b].seq
 }
 func (h jobHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -409,7 +409,7 @@ func TestRestartServesFromDiskCache(t *testing.T) {
 // directly: progress snapshots and the terminal transition reach a
 // subscriber in order.
 func TestEventsStreamProgress(t *testing.T) {
-	j := &job{
+	j := &Job{
 		id:       "j-test",
 		state:    StateQueued,
 		subs:     make(map[chan Event]struct{}),
@@ -421,7 +421,7 @@ func TestEventsStreamProgress(t *testing.T) {
 		t.Fatalf("snapshot state %q, want queued", snap.State)
 	}
 	j.setRunning()
-	j.progress(core.Progress{Cycle: 1000, Instructions: 1500})
+	j.Progress(core.Progress{Cycle: 1000, Instructions: 1500})
 	j.finish(stats.Results{Cycles: 2000, Instructions: 3000}, nil)
 
 	var got []Event

@@ -7,7 +7,9 @@ package service
 //	    machine-checkable JSON span dump; format=chrome returns Chrome
 //	    trace-event JSON loadable in chrome://tracing or Perfetto
 //	    (https://ui.perfetto.dev). Tenant-scoped like the status
-//	    endpoint. A running job returns the spans finished so far.
+//	    endpoint. A running job returns the spans finished so far. A
+//	    coordinator merges in its replicas' spans for the same trace
+//	    (Backend.TraceSpans).
 //	GET /v1/tracez?limit=N&trace_id=...
 //	    The most recent finished spans across all traces (default 256),
 //	    plus collector occupancy — the "what is this server doing"
@@ -51,16 +53,11 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	ri := infoFrom(r.Context())
 	ri.jobID = j.id
 	ri.fp = j.fp
-	WriteTrace(w, r, s.spans.TraceSpans(j.traceID), j.traceID, j.id, j.status().State)
-}
-
-// WriteTrace renders one trace in the requested format; shared with
-// the fleet coordinator's merged variant.
-func WriteTrace(w http.ResponseWriter, r *http.Request, spans []obs.Span, traceID, jobID, state string) {
+	spans := append(s.spans.TraceSpans(j.traceID), s.backend.TraceSpans(r.Context(), j.traceID)...)
 	switch format := r.URL.Query().Get("format"); format {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", jobID+".trace.json"))
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", j.id+".trace.json"))
 		obs.WriteChromeTrace(w, spans)
 	case "", "spans":
 		if spans == nil {
@@ -68,9 +65,9 @@ func WriteTrace(w http.ResponseWriter, r *http.Request, spans []obs.Span, traceI
 		}
 		writeJSON(w, http.StatusOK, TraceResponse{
 			SchemaVersion: SchemaVersion,
-			TraceID:       traceID,
-			Job:           jobID,
-			State:         state,
+			TraceID:       j.traceID,
+			Job:           j.id,
+			State:         j.status().State,
 			Spans:         spans,
 		})
 	default:
@@ -79,12 +76,6 @@ func WriteTrace(w http.ResponseWriter, r *http.Request, spans []obs.Span, traceI
 }
 
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	WriteTracez(w, r, s.spans)
-}
-
-// WriteTracez renders a collector's recent-span ring; shared with the
-// fleet coordinator.
-func WriteTracez(w http.ResponseWriter, r *http.Request, c *obs.Collector) {
 	limit := 256
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -96,18 +87,18 @@ func WriteTracez(w http.ResponseWriter, r *http.Request, c *obs.Collector) {
 	}
 	var spans []obs.Span
 	if tid := r.URL.Query().Get("trace_id"); tid != "" {
-		spans = c.TraceSpans(tid)
+		spans = s.spans.TraceSpans(tid)
 	} else {
-		spans = c.Recent(limit)
+		spans = s.spans.Recent(limit)
 	}
 	if spans == nil {
 		spans = []obs.Span{}
 	}
 	writeJSON(w, http.StatusOK, TracezResponse{
 		SchemaVersion: SchemaVersion,
-		Service:       c.Service(),
-		Retained:      c.Len(),
-		Dropped:       c.Dropped(),
+		Service:       s.spans.Service(),
+		Retained:      s.spans.Len(),
+		Dropped:       s.spans.Dropped(),
 		Spans:         spans,
 	})
 }

@@ -165,18 +165,15 @@ func BuildKernelSeeded(name string, scale int, seed uint64) (*program.Program, e
 // clustersim -trace-in, or a grid Job's Trace field, producing results
 // bit-identical to in-process synthesis.
 func WriteKernelTrace(path, kernel string, scale int, seed uint64) (uint64, error) {
-	prog, err := workload.Build(kernel, scale, seed)
-	if err != nil {
-		return 0, err
-	}
-	return trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog))
+	return runner.WriteKernelTrace(path, kernel, scale, seed)
 }
 
 // RunTraceFile simulates a pre-recorded .cvt trace under cfg, streaming
 // it from disk through the synchronous reference reader — the trace
-// never needs to fit in memory. RunTraceFileInMemory and
-// RunTraceFilePipelined replay the same file through the decode-once
-// and decode-ahead paths; all three produce byte-identical Results.
+// never needs to fit in memory. A grid Job with the Trace field set
+// replays the same file through the engine's decode-once arena or
+// decode-ahead reader instead; all paths produce byte-identical
+// Results.
 func RunTraceFile(cfg Config, path string) (Results, error) {
 	fr, err := trace.OpenFile(path)
 	if err != nil {
@@ -184,51 +181,6 @@ func RunTraceFile(cfg Config, path string) (Results, error) {
 	}
 	defer fr.Close()
 	sim, err := core.DefaultPool.Get(cfg, fr, fr.Name())
-	if err != nil {
-		return Results{}, err
-	}
-	defer core.DefaultPool.Put(sim)
-	return sim.Run()
-}
-
-// RunTraceFileInMemory decodes the whole .cvt file into the columnar
-// in-memory form up front (validating every CRC), then replays it with
-// a zero-allocation cursor. This is the replay mode the grid engine's
-// trace arena uses for traces within its byte budget.
-func RunTraceFileInMemory(cfg Config, path string) (Results, error) {
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	mt, err := trace.ReadMem(fr.Reader)
-	cerr := fr.Close()
-	if err != nil {
-		return Results{}, err
-	}
-	if cerr != nil {
-		return Results{}, cerr
-	}
-	sim, err := core.DefaultPool.Get(cfg, mt.NewCursor(), mt.Name())
-	if err != nil {
-		return Results{}, err
-	}
-	defer core.DefaultPool.Put(sim)
-	return sim.Run()
-}
-
-// RunTraceFilePipelined streams the .cvt file through the decode-ahead
-// reader, overlapping CRC and varint-delta decoding with simulation.
-// This is the replay mode the grid engine uses for traces its arena
-// does not hold.
-func RunTraceFilePipelined(cfg Config, path string) (Results, error) {
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	defer fr.Close()
-	p := trace.NewPipelined(fr.Reader)
-	defer p.Close()
-	sim, err := core.DefaultPool.Get(cfg, p, p.Name())
 	if err != nil {
 		return Results{}, err
 	}
@@ -247,11 +199,7 @@ func MaterializeTraces(dir string, jobs []Job) ([]Job, error) {
 // Run simulates one suite kernel under cfg at the given workload scale
 // (1 = tens of thousands of dynamic instructions).
 func Run(cfg Config, kernel string, scale int) (Results, error) {
-	prog, err := BuildKernel(kernel, scale)
-	if err != nil {
-		return Results{}, err
-	}
-	return RunProgram(cfg, prog)
+	return runner.Simulate(Job{Config: cfg, Kernel: kernel, Scale: scale})
 }
 
 // RunProgram simulates an arbitrary assembled program under cfg. The

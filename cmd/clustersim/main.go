@@ -54,6 +54,7 @@ import (
 	"clustervp"
 	"clustervp/internal/config"
 	"clustervp/internal/core"
+	"clustervp/internal/runner"
 	"clustervp/internal/service"
 	"clustervp/internal/service/client"
 	"clustervp/internal/trace"
@@ -316,11 +317,7 @@ func simulate(cfg clustervp.Config, kernel string, scale int, seed uint64, trace
 	case traceOut != "":
 		return recordAndRun(cfg, kernel, scale, seed, traceOut)
 	default:
-		prog, err := clustervp.BuildKernelSeeded(kernel, scale, seed)
-		if err != nil {
-			return clustervp.Results{}, err
-		}
-		return clustervp.RunProgram(cfg, prog)
+		return runner.Simulate(runner.Job{Config: cfg, Kernel: kernel, Scale: scale, Seed: seed})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // per-cluster state — so a heterogeneous grid still reuses within each
 // shape. Reuse is an optimization only: a pooled Sim's Reset restores
 // every field to its NewFromSource state, so results are byte-identical
-// with or without the pool (asserted by TestSimulatePoolingDeterminism
+// with or without the pool (asserted by TestSimulatePoolArenaDeterminism
 // in internal/runner).
 type Pool struct {
 	mu   sync.Mutex

@@ -184,7 +184,7 @@ type Options struct {
 	// Workers bounds concurrent simulations; <=0 means GOMAXPROCS.
 	Workers int
 	// Run overrides the simulator (tests inject counting or failing
-	// stubs); nil means the real trace-driven timing simulator.
+	// stubs); nil means Simulate.
 	Run func(Job) (stats.Results, error)
 	// Progress, when non-nil, receives one line per executed
 	// (non-memoized) job. Memo hits are silent.
@@ -196,20 +196,6 @@ type Options struct {
 	// worker. Put failures are counted (CachePutErrors) but never fail
 	// the job — a full disk degrades the cache, not the grid.
 	Cache ResultCache
-	// ArenaBytes selects the decoded-trace arena for this engine's
-	// default simulator: 0 shares the process-wide arena
-	// (DefaultArenaBudget), a negative value disables arena decoding
-	// (every trace job streams via the pipelined reader), and a positive
-	// value gives the engine a private arena with that byte budget.
-	// Ignored when Run is set.
-	ArenaBytes int64
-	// NoSimPool disables simulator reuse for this engine's default
-	// simulator: every job constructs a fresh Sim instead of drawing
-	// from the process-wide pool. Results are identical either way —
-	// the pool is purely an allocation optimization — so this exists
-	// for A/B measurement and as an escape hatch. Ignored when Run is
-	// set.
-	NoSimPool bool
 }
 
 // entry is one memo slot; ready closes once res/err are set, so
@@ -260,17 +246,7 @@ func New(opts Options) *Engine {
 	}
 	run := opts.Run
 	if run == nil {
-		arena := defaultArena
-		if opts.ArenaBytes < 0 {
-			arena = nil
-		} else if opts.ArenaBytes > 0 {
-			arena = trace.NewArena(opts.ArenaBytes)
-		}
-		pool := core.DefaultPool
-		if opts.NoSimPool {
-			pool = nil
-		}
-		run = func(j Job) (stats.Results, error) { return simulate(j, 0, nil, arena, pool) }
+		run = Simulate
 	}
 	return &Engine{
 		workers:  w,
@@ -473,10 +449,9 @@ const (
 // newSim builds the timing simulator for a job — replaying a .cvt
 // trace file when one is named, otherwise synthesizing the kernel
 // in-process — and returns the materialization mode (Source*) plus
-// the cleanup to run after simulation (nil when nothing needs
-// closing). A non-nil pool supplies a recycled Sim (returned to the
-// pool by the cleanup); a non-nil arena supplies decoded trace
-// sharing.
+// the cleanup to run after simulation. A non-nil pool supplies a
+// recycled Sim (returned to the pool by the cleanup); a non-nil arena
+// supplies decoded trace sharing.
 func newSim(j Job, arena *trace.Arena, pool *core.Pool) (*core.Sim, string, func() error, error) {
 	var (
 		src     trace.Source
@@ -529,37 +504,27 @@ func newSim(j Job, arena *trace.Arena, pool *core.Pool) (*core.Sim, string, func
 	return sim, mode, cleanup, nil
 }
 
-// simulate runs one job through the timing simulator with the given
-// trace arena and Sim pool (either may be nil to opt out).
-func simulate(j Job, every int64, fn func(core.Progress), arena *trace.Arena, pool *core.Pool) (stats.Results, error) {
-	sim, _, cleanup, err := newSim(j, arena, pool)
-	if err != nil {
-		return stats.Results{}, err
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	if fn != nil {
-		sim.SetProgress(every, fn)
-	}
-	return sim.Run()
-}
-
-// warmupProbeInterval is the progress period simulateTraced falls back
-// to when the caller wants no progress events: frequent enough to end
-// the sim.warmup span near the first commit, rare enough to stay
+// warmupProbeInterval is the progress period a traced simulation falls
+// back to when the caller wants no progress events: frequent enough to
+// end the sim.warmup span near the first commit, rare enough to stay
 // invisible in the cycle loop.
 const warmupProbeInterval = 10_000
 
-// simulateTraced is simulate with span instrumentation: a
-// sim.materialize child covering trace-source setup (attributed with
-// the Source* mode), and a sim.run child covering the simulation
-// itself, with a sim.warmup sub-span ended at the first progress
-// snapshot that shows committed instructions and the coarse
-// phase-cycle split (core.Sim.PhaseCycles) attached as attributes.
-// Spans start and end outside the cycle loop; the only per-cycle cost
-// is the phase counters core maintains unconditionally.
-func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Arena, pool *core.Pool, parent *obs.ActiveSpan) (stats.Results, error) {
+// simulate runs one job through the timing simulator with the given
+// trace arena and Sim pool (either may be nil to opt out). A non-nil fn
+// receives a progress snapshot every `every` cycles from the simulation
+// goroutine; a non-positive interval or nil fn runs without progress.
+//
+// A non-nil parent adds span instrumentation: a sim.materialize child
+// covering trace-source setup (attributed with the Source* mode), and a
+// sim.run child covering the simulation itself, with a sim.warmup
+// sub-span ended at the first progress snapshot that shows committed
+// instructions and the coarse phase-cycle split (core.Sim.PhaseCycles)
+// attached as attributes. Spans start and end outside the cycle loop;
+// the only per-cycle cost is the phase counters core maintains
+// unconditionally. With a nil parent every span call is a no-op and no
+// attribute is formatted.
+func simulate(j Job, every int64, fn func(core.Progress), arena *trace.Arena, pool *core.Pool, parent *obs.ActiveSpan) (stats.Results, error) {
 	mat := parent.StartChild("sim.materialize")
 	sim, mode, cleanup, err := newSim(j, arena, pool)
 	mat.SetAttr("source", mode)
@@ -570,8 +535,13 @@ func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Are
 	if err != nil {
 		return stats.Results{}, err
 	}
-	if cleanup != nil {
-		defer cleanup()
+	defer cleanup()
+
+	if parent == nil {
+		if fn != nil {
+			sim.SetProgress(every, fn)
+		}
+		return sim.Run()
 	}
 
 	run := parent.StartChild("sim.run")
@@ -613,31 +583,21 @@ func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Are
 // Simulate is the default Run function: stream the job's dynamic
 // instructions — from a .cvt trace file when one is named, otherwise
 // from an in-process functional execution of the kernel — through the
-// timing simulator (the same path as clustervp.Run). It uses the
-// process-wide Sim pool and decoded-trace arena; both are allocation
-// optimizations only, with results byte-identical to cold construction
-// and streaming decode (TestSimulatePoolArenaDeterminism).
+// timing simulator. It uses the process-wide Sim pool and decoded-trace
+// arena; both are allocation optimizations only, with results
+// byte-identical to cold construction and streaming decode
+// (TestSimulatePoolArenaDeterminism).
 func Simulate(j Job) (stats.Results, error) {
-	return simulate(j, 0, nil, defaultArena, core.DefaultPool)
+	return simulate(j, 0, nil, defaultArena, core.DefaultPool, nil)
 }
 
-// SimulateWithProgress is Simulate with a periodic progress callback:
-// fn fires from the simulation goroutine every `every` cycles with the
-// current cycle and committed-instruction counts (the clusterd service
-// streams these as job events). A non-positive interval or nil fn runs
-// without progress.
-func SimulateWithProgress(j Job, every int64, fn func(core.Progress)) (stats.Results, error) {
-	return simulate(j, every, fn, defaultArena, core.DefaultPool)
-}
-
-// SimulateTraced is SimulateWithProgress plus span instrumentation:
-// when parent is non-nil, sim.materialize and sim.run child spans
-// (with a sim.warmup sub-span and phase-cycle attributes) record
-// where the job's wall-clock went. A nil parent is exactly
-// SimulateWithProgress — untraced callers pay one nil check.
+// SimulateTraced is Simulate with a periodic progress callback and span
+// instrumentation: fn fires from the simulation goroutine every `every`
+// cycles with the current cycle and committed-instruction counts (the
+// clusterd service streams these as job events), and a non-nil parent
+// records sim.materialize and sim.run child spans (with a sim.warmup
+// sub-span and phase-cycle attributes) showing where the job's
+// wall-clock went. With a nil fn and a nil parent it is Simulate.
 func SimulateTraced(j Job, every int64, fn func(core.Progress), parent *obs.ActiveSpan) (stats.Results, error) {
-	if parent == nil {
-		return simulate(j, every, fn, defaultArena, core.DefaultPool)
-	}
-	return simulateTraced(j, every, fn, defaultArena, core.DefaultPool, parent)
+	return simulate(j, every, fn, defaultArena, core.DefaultPool, parent)
 }

@@ -97,19 +97,22 @@ func verifyTrace(path string) bool {
 			return true
 		}
 	}
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return false
-	}
-	defer fr.Close()
-	var d trace.DynInst
-	for fr.Next(&d) {
-	}
-	if fr.Err() != nil {
+	if _, err := trace.VerifyFile(path); err != nil {
 		return false
 	}
 	verifyCache.Store(path, verifyEntry{size: st.Size(), mtime: st.ModTime().UnixNano()})
 	return true
+}
+
+// WriteKernelTrace functionally executes a suite kernel and streams its
+// dynamic instruction trace into a .cvt file at path (written
+// atomically), returning the number of records written.
+func WriteKernelTrace(path, kernel string, scale int, seed uint64) (uint64, error) {
+	prog, err := workload.Build(kernel, scale, seed)
+	if err != nil {
+		return 0, err
+	}
+	return trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog))
 }
 
 // MaterializeTraces writes each distinct (kernel, scale, seed) workload
@@ -135,11 +138,7 @@ func MaterializeTraces(dir string, jobs []Job) ([]Job, error) {
 		path := TracePath(dir, j.Kernel, j.EffectiveScale(), j.Seed)
 		if !written[path] {
 			if !verifyTrace(path) {
-				prog, err := workload.Build(j.Kernel, j.EffectiveScale(), j.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("runner: materialize %s: %w", path, err)
-				}
-				if _, err := trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog)); err != nil {
+				if _, err := WriteKernelTrace(path, j.Kernel, j.EffectiveScale(), j.Seed); err != nil {
 					return nil, fmt.Errorf("runner: materialize %s: %w", path, err)
 				}
 			}

@@ -127,10 +127,14 @@ func (b *engineBackend) simulate(j runner.Job) (stats.Results, error) {
 	if b.run != nil {
 		return b.run(j)
 	}
+	var (
+		fn     func(core.Progress)
+		parent *obs.ActiveSpan
+	)
 	if f := b.fanoutLookup(j.Fingerprint()); f != nil {
-		return runner.SimulateTraced(j, b.progressInterval, f.publish, f.parentSpan())
+		fn, parent = f.publish, f.parentSpan()
 	}
-	return runner.Simulate(j)
+	return runner.SimulateTraced(j, b.progressInterval, fn, parent)
 }
 
 // fanoutLookup returns the fanout currently registered for a

@@ -14,10 +14,6 @@ type Arena struct {
 	budget int64
 	used   int64
 	m      map[string]*MemTrace
-
-	hits    uint64
-	misses  uint64
-	skipped uint64
 }
 
 // NewArena returns an arena admitting up to budget bytes of decoded
@@ -30,20 +26,14 @@ func NewArena(budget int64) *Arena {
 // Get returns the decoded trace for key, or nil when absent.
 func (a *Arena) Get(key string) *MemTrace {
 	a.mu.Lock()
-	t := a.m[key]
-	if t != nil {
-		a.hits++
-	} else {
-		a.misses++
-	}
-	a.mu.Unlock()
-	return t
+	defer a.mu.Unlock()
+	return a.m[key]
 }
 
 // Add admits t under key, reporting whether key is now resident. A
 // losing racer's decode is wasted work but never wrong — both decodes
 // of one digest are identical, and the survivor is shared. Over-budget
-// traces are refused (counted in skipped).
+// traces are refused.
 func (a *Arena) Add(key string, t *MemTrace) bool {
 	sz := t.SizeBytes()
 	a.mu.Lock()
@@ -52,7 +42,6 @@ func (a *Arena) Add(key string, t *MemTrace) bool {
 		return true
 	}
 	if a.used+sz > a.budget {
-		a.skipped++
 		return false
 	}
 	a.m[key] = t
@@ -68,11 +57,4 @@ func (a *Arena) Remaining() int64 {
 		return 0
 	}
 	return a.budget - a.used
-}
-
-// Stats returns lifetime hit/miss/skip counters and resident bytes.
-func (a *Arena) Stats() (hits, misses, skipped uint64, used int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.hits, a.misses, a.skipped, a.used
 }

@@ -122,9 +122,11 @@ func TestArenaAdmission(t *testing.T) {
 	if a.Remaining() != 0 {
 		t.Errorf("Remaining = %d after filling the budget", a.Remaining())
 	}
-	hits, misses, skipped, used := a.Stats()
-	if hits != 1 || misses != 1 || skipped != 1 || used != mt.SizeBytes() {
-		t.Errorf("Stats = (%d,%d,%d,%d), want (1,1,1,%d)", hits, misses, skipped, used, mt.SizeBytes())
+	if a.Get("k2") != nil {
+		t.Error("a refused Add must leave the key absent")
+	}
+	if a.Get("k1") != mt {
+		t.Error("a refused Add must not evict the resident key")
 	}
 
 	// Admitting nothing is a valid configuration (arena disabled).
@@ -160,7 +162,12 @@ func TestArenaConcurrentAddGet(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, _, _, used := a.Stats(); used != mt.SizeBytes() {
-		t.Errorf("used = %d after racing adds of one key, want %d", used, mt.SizeBytes())
+	// One key resident however many racers added it: exactly one
+	// trace's bytes are charged against the budget.
+	if got, want := a.Remaining(), 9*mt.SizeBytes(); got != want {
+		t.Errorf("Remaining = %d after racing adds of one key, want %d", got, want)
+	}
+	if a.Get("k") != mt {
+		t.Error("racing adds left the key absent")
 	}
 }

@@ -81,8 +81,8 @@ func (s *Store) Has(digest string) bool {
 // while being spooled to a temp file, the temp file is then decoded
 // end to end (every CRC checked) to prove it replays, and only a fully
 // valid trace is renamed into place. It returns the content digest and
-// the record count. Storing bytes already present is a cheap no-op
-// beyond the verification read.
+// the record count. Storing bytes already present replaces the stored
+// file with the verified copy, which repairs one damaged on disk.
 func (s *Store) Put(r io.Reader) (digest string, records uint64, err error) {
 	tmp, err := os.CreateTemp(s.dir, ".cvt-upload-*")
 	if err != nil {
@@ -96,7 +96,10 @@ func (s *Store) Put(r io.Reader) (digest string, records uint64, err error) {
 	if _, err := io.Copy(tmp, io.TeeReader(r, h)); err != nil {
 		return "", 0, err
 	}
-	records, err = verifyFile(tmp)
+	if err := tmp.Close(); err != nil {
+		return "", 0, err
+	}
+	records, err = VerifyFile(tmp.Name())
 	if err != nil {
 		return "", 0, err
 	}
@@ -105,13 +108,8 @@ func (s *Store) Put(r io.Reader) (digest string, records uint64, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if err := tmp.Close(); err != nil {
-		return "", 0, err
-	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		// Identical content already stored; keep the existing file.
-		return digest, records, nil
-	}
+	// Always replace: the rename is atomic and the content is identical
+	// by digest, so re-storing bytes also repairs a damaged stored copy.
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", 0, err
 	}
@@ -137,21 +135,20 @@ func (s *Store) Open(digest string) (*FileReader, error) {
 	return OpenFile(p)
 }
 
-// verifyFile decodes the spooled container from the start, checking
-// every CRC, and returns the record count.
-func verifyFile(f *os.File) (uint64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	r, err := NewReader(f)
+// VerifyFile decodes the .cvt file at path end to end — header, every
+// block CRC and the record-count trailer — and returns the record
+// count. A nil error means the file replays cleanly.
+func VerifyFile(path string) (uint64, error) {
+	fr, err := OpenFile(path)
 	if err != nil {
 		return 0, err
 	}
+	defer fr.Close()
 	var d DynInst
-	for r.Next(&d) {
+	for fr.Next(&d) {
 	}
-	if err := r.Err(); err != nil {
+	if err := fr.Err(); err != nil {
 		return 0, err
 	}
-	return r.Count(), nil
+	return fr.Count(), nil
 }

@@ -89,6 +89,49 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStorePutRepairsDamagedCopy: re-uploading a trace whose stored
+// copy was damaged on disk must restore a replayable file, since Has
+// keeps admitting jobs that name the digest.
+func TestStorePutRepairsDamagedCopy(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := storeTestTrace(t, 5)
+	digest, records, err := st.Put(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := st.Path(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(p, int64(len(data)/2)); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() (uint64, error) {
+		fr, err := st.Open(digest)
+		if err != nil {
+			return 0, err
+		}
+		defer fr.Close()
+		var d DynInst
+		for fr.Next(&d) {
+		}
+		return fr.Count(), fr.Err()
+	}
+	if _, err := replay(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("damaged copy replays with err=%v, want %v", err, ErrTruncated)
+	}
+	d2, r2, err := st.Put(bytes.NewReader(data))
+	if err != nil || d2 != digest || r2 != records {
+		t.Fatalf("re-Put = %q/%d err=%v, want %q/%d", d2, r2, err, digest, records)
+	}
+	if n, err := replay(); err != nil || n != records {
+		t.Errorf("stored copy after re-Put: %d records err=%v, want %d records", n, err, records)
+	}
+}
+
 // TestStoreRejectsCorruptUploads: damaged containers must not publish,
 // and the failure keeps the trace package's typed classification.
 func TestStoreRejectsCorruptUploads(t *testing.T) {

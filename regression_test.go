@@ -256,50 +256,6 @@ func TestTraceRoundTripGolden(t *testing.T) {
 	}
 }
 
-// TestReplayModesArenaAndPipelinedGolden extends the trace golden grid
-// across the replay data paths introduced by the cold-path rework: for
-// every workload kernel at two scales, the in-memory (arena-form)
-// replay and the pipelined (decode-ahead) replay must each produce
-// byte-identical stats.Results to the synchronous streaming Reader.
-// The three paths share no decoding state, so agreement here means the
-// columnar re-encoding and the batch handoff both preserve every field
-// the timing model observes.
-func TestReplayModesArenaAndPipelinedGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite replay-mode grid in -short mode")
-	}
-	cfg := clustervp.Preset(2).WithVP(clustervp.VPStride)
-	dir := t.TempDir()
-	for _, kernel := range clustervp.Kernels() {
-		for _, scale := range []int{1, 2} {
-			path := filepath.Join(dir, fmt.Sprintf("%s-%d.cvt", kernel, scale))
-			if _, err := clustervp.WriteKernelTrace(path, kernel, scale, 0); err != nil {
-				t.Fatalf("%s@%d encode: %v", kernel, scale, err)
-			}
-			want, err := clustervp.RunTraceFile(cfg, path)
-			if err != nil {
-				t.Fatalf("%s@%d streaming replay: %v", kernel, scale, err)
-			}
-			mem, err := clustervp.RunTraceFileInMemory(cfg, path)
-			if err != nil {
-				t.Fatalf("%s@%d in-memory replay: %v", kernel, scale, err)
-			}
-			if !reflect.DeepEqual(mem, want) {
-				t.Errorf("%s@%d: in-memory replay diverged from streaming Reader:\n got %+v\nwant %+v",
-					kernel, scale, mem, want)
-			}
-			piped, err := clustervp.RunTraceFilePipelined(cfg, path)
-			if err != nil {
-				t.Fatalf("%s@%d pipelined replay: %v", kernel, scale, err)
-			}
-			if !reflect.DeepEqual(piped, want) {
-				t.Errorf("%s@%d: pipelined replay diverged from streaming Reader:\n got %+v\nwant %+v",
-					kernel, scale, piped, want)
-			}
-		}
-	}
-}
-
 // TestSeededTraceDiffers guards the -seed plumbing end to end: a
 // re-seeded kernel must produce a different value stream (different
 // predictor behaviour) while seed 0 reproduces the canonical one

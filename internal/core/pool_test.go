@@ -26,8 +26,17 @@ func TestSimResetPoolDeterminism(t *testing.T) {
 		config.Preset(2).WithVP(config.VPTwoDelta),
 		config.Preset(4),
 		config.Preset(1).WithVP(config.VPStride),
+		// The value-prediction tables are rewound in place when the size
+		// repeats and rebuilt when it changes: shrink, grow back, shrink
+		// again, then switch predictor kind and FP coverage.
+		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB).WithVPTable(16),
+		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB),
+		config.Preset(4).WithVP(config.VPStride).WithVPTable(16),
+		config.Preset(2).WithVP(config.VPTwoDelta),
+		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB),
 	}
 	cfgs[3].PerfectCaches = true
+	cfgs[9].VPCoverFP = true
 
 	reused := &Sim{}
 	for i, cfg := range cfgs {

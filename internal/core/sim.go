@@ -33,9 +33,10 @@ type Sim struct {
 
 	// src streams the dynamic instructions; it is either an in-process
 	// functional executor or a .cvt file reader — the timing model
-	// cannot tell the difference.
+	// cannot tell the difference. Fetch decodes each record straight
+	// into the fetch queue's tail slot; havePeek marks a record decoded
+	// there but not yet enqueued (held back by an I-cache miss).
 	src      trace.Source
-	peekBuf  trace.DynInst
 	havePeek bool
 	trDone   bool
 
@@ -47,11 +48,15 @@ type Sim struct {
 	// pooled Sim alternating with PerfectCaches configs does not rebuild
 	// them; hier points at it (or nil) per the current config.
 	hierMem *cache.Hierarchy
-	net     interconnect.Topology
-	bal     *steer.Balancer
-	str     steer.Chooser
-	table   *rename.Table[eref]
-	res     []*cluster.Resources
+	// strideMem and twoDeltaMem persist the value-prediction tables the
+	// same way: Reset rewinds a table of the configured size in place.
+	strideMem   *vpred.Stride
+	twoDeltaMem *vpred.TwoDelta
+	net         interconnect.Topology
+	bal         *steer.Balancer
+	str         steer.Chooser
+	table       *rename.Table[eref]
+	res         []*cluster.Resources
 	// Per-cluster constants hoisted out of the spec slice so the hot
 	// loop never chases cfg.Clusters[c]: IQ sizes for the dispatch
 	// structural check and extra bypass cycles for result visibility.
@@ -97,11 +102,8 @@ type Sim struct {
 	// (see BenchmarkSimSteadyState and TestSteadyStateAllocFree).
 	views     [trace.MaxSrc]opView
 	steerOps  [trace.MaxSrc]steer.Operand
-	plans     [trace.MaxSrc]copyPlan
 	verifs    [trace.MaxSrc]verification
 	consSrcs  [trace.MaxSrc]source
-	iqNeed    []int
-	regNeed   []int
 	excessInt []int
 	excessFP  []int
 
@@ -181,11 +183,12 @@ func NewFromSource(cfg config.Config, src trace.Source, benchmark string) (*Sim,
 
 // Reset rebinds the simulator to a new configuration and instruction
 // stream, rewinding every piece of run state — ROB ring, rename table,
-// scheduler bitmaps and chunk pools, caches, fetch queue, statistics —
-// while reusing the large allocations from the previous run. A worker
-// can therefore run job after job on one Sim at memclr cost instead of
-// reconstruction cost; results are identical to a freshly constructed
-// Sim by construction (every field is restored to its New state).
+// scheduler bitmaps and chunk pools, caches, value-prediction tables,
+// fetch queue, statistics — while reusing the large allocations from
+// the previous run. A worker can therefore run job after job on one Sim
+// at memclr cost instead of reconstruction cost; results are identical
+// to a freshly constructed Sim by construction (every field is restored
+// to its New state).
 //
 // Reset works on a zero Sim too — NewFromSource is just Reset on a
 // fresh struct. On error the Sim may be partially rewound and must be
@@ -201,14 +204,13 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 
 	s.cfg = cfg
 	s.src = src
-	s.peekBuf = trace.DynInst{}
 	s.havePeek = false
 	s.trDone = false
 
 	// Peripherals that are a handful of small allocations are rebuilt
 	// fresh — cheap, and trivially identical to a new Sim. The bulk
-	// state (rename table, scheduler pools, cache arrays, the ring) is
-	// rewound in place.
+	// state (rename table, scheduler pools, cache arrays, value-prediction
+	// tables, the ring) is rewound in place.
 	s.bp = bpred.NewUnit(bpred.NewPaperCombined())
 	s.bal = steer.NewWeightedBalancer(cfg.IssueWeights())
 
@@ -229,14 +231,11 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 		s.iqCount = make([]int, nc)
 		s.iqSize = make([]int, nc)
 		s.bypass = make([]int64, nc)
-		s.iqNeed = make([]int, nc)
-		s.regNeed = make([]int, nc)
 		s.excessInt = make([]int, nc)
 		s.excessFP = make([]int, nc)
 	} else {
 		for c := 0; c < nc; c++ {
 			s.iqCount[c] = 0
-			s.iqNeed[c], s.regNeed[c] = 0, 0
 			s.excessInt[c], s.excessFP[c] = 0, 0
 		}
 	}
@@ -262,7 +261,6 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 
 	s.views = [trace.MaxSrc]opView{}
 	s.steerOps = [trace.MaxSrc]steer.Operand{}
-	s.plans = [trace.MaxSrc]copyPlan{}
 	s.verifs = [trace.MaxSrc]verification{}
 	s.consSrcs = [trace.MaxSrc]source{}
 
@@ -284,15 +282,24 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	case config.VPNone:
 		s.vp = vpred.None{}
 	case config.VPStride:
-		sp := vpred.NewStride(cfg.VPTableEntries)
-		sp.CoverFP = cfg.VPCoverFP
-		s.vp = sp
+		if s.strideMem != nil && s.strideMem.Entries() == cfg.VPTableEntries {
+			s.strideMem.Reset()
+		} else {
+			s.strideMem = vpred.NewStride(cfg.VPTableEntries)
+		}
+		s.strideMem.CoverFP = cfg.VPCoverFP
+		s.vp = s.strideMem
 	case config.VPPerfect:
 		pp := vpred.NewPerfect()
 		pp.CoverFP = cfg.VPCoverFP
 		s.vp = pp
 	case config.VPTwoDelta:
-		s.vp = vpred.NewTwoDelta(cfg.VPTableEntries)
+		if s.twoDeltaMem != nil && s.twoDeltaMem.Entries() == cfg.VPTableEntries {
+			s.twoDeltaMem.Reset()
+		} else {
+			s.twoDeltaMem = vpred.NewTwoDelta(cfg.VPTableEntries)
+		}
+		s.vp = s.twoDeltaMem
 	default:
 		return fmt.Errorf("core: unknown VP kind %v", cfg.VP)
 	}
@@ -327,25 +334,6 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	s.out.Benchmark = benchmark
 	return nil
 }
-
-// peek returns the next dynamic instruction without consuming it. The
-// record lives in a Sim-owned buffer so peeking never heap-allocates.
-func (s *Sim) peek() *trace.DynInst {
-	if s.havePeek {
-		return &s.peekBuf
-	}
-	if s.trDone {
-		return nil
-	}
-	if !s.src.Next(&s.peekBuf) {
-		s.trDone = true
-		return nil
-	}
-	s.havePeek = true
-	return &s.peekBuf
-}
-
-func (s *Sim) consume() { s.havePeek = false }
 
 // step advances the machine by one cycle: verification, commit, issue,
 // dispatch and fetch, in the reverse-pipeline order the paper's
@@ -471,10 +459,15 @@ func (s *Sim) fetch(now int64) {
 		return
 	}
 	for n := 0; n < s.cfg.FetchWidth && s.fqLen < fetchQCap; n++ {
-		d := s.peek()
-		if d == nil {
-			return
+		f := &s.fetchQ[(s.fqHead+s.fqLen)%fetchQCap]
+		if !s.havePeek {
+			if s.trDone || !s.src.Next(&f.dyn) {
+				s.trDone = true
+				return
+			}
+			s.havePeek = true
 		}
+		d := &f.dyn
 		// Instruction-cache access once per 32-byte line.
 		line := int64(d.PC) * 4 / 32
 		if line != s.lastFetchLine {
@@ -486,17 +479,15 @@ func (s *Sim) fetch(now int64) {
 				return
 			}
 		}
-		f := fetched{dyn: *d, fetchTime: now}
-		info := d.Info()
-		if info.IsBranch {
+		f.fetchTime = now
+		f.mispred = false
+		f.vpDone = false
+		f.vpConf, f.vpCorrect = [2]bool{}, [2]bool{}
+		if d.Info().IsBranch {
 			predNext, _ := s.bp.PredictNext(d.PC, d.Inst)
-			correct := s.bp.Resolve(d.PC, d.Inst, d.NextPC, d.Taken, predNext)
-			if !correct {
-				f.mispred = true
-			}
+			f.mispred = !s.bp.Resolve(d.PC, d.Inst, d.NextPC, d.Taken, predNext)
 		}
-		s.consume()
-		s.fetchQ[(s.fqHead+s.fqLen)%fetchQCap] = f
+		s.havePeek = false
 		s.fqLen++
 		if f.mispred {
 			// Fetch cannot proceed past a mispredicted branch until it
@@ -540,12 +531,12 @@ func (s *Sim) dispatch(now int64) {
 	}
 }
 
-// opView captures the per-operand analysis shared by steering and rename.
+// opView captures the per-operand analysis shared by steering, copy
+// planning and rename.
 type opView struct {
 	reg      isa.RegID
 	isFP     bool
 	constant bool // R0: always ready, never renamed
-	avail    bool
 	mapped   uint32
 	home     int
 	homeProv eref // provider of the home-cluster mapping (snapshot)
@@ -553,18 +544,18 @@ type opView struct {
 	correct  bool
 }
 
-// analyzeOperands fills the Sim-owned operand-view scratch buffer and
-// returns the populated prefix; the views stay valid until the next
-// call (dispatch is strictly sequential, so nothing ever holds two
-// instructions' views at once).
-func (s *Sim) analyzeOperands(now int64, f *fetched) []opView {
-	nsrc := f.dyn.Info().NumSrc
-	views := s.views[:nsrc]
+// dispatchOne renames, steers and inserts one instruction (plus its
+// generated copies); it returns false when a structural resource is
+// exhausted and dispatch must retry next cycle. All intermediate
+// per-instruction state lives in Sim-owned scratch buffers.
+func (s *Sim) dispatchOne(now int64, f *fetched) bool {
+	info := f.dyn.Info()
+	views := s.views[:info.NumSrc]
 	if !f.vpDone {
 		// Decode-time predictor lookup and training, once per dynamic
 		// instruction (§2.2: predictions available and tables updated at
 		// decode).
-		for i := 0; i < nsrc; i++ {
+		for i := range views {
 			r := f.dyn.Inst.Source(i)
 			if r == isa.R0 {
 				continue
@@ -575,53 +566,25 @@ func (s *Sim) analyzeOperands(now int64, f *fetched) []opView {
 		}
 		f.vpDone = true
 	}
+
+	// Operand analysis and steering inputs, in one pass.
+	ops := s.steerOps[:0]
 	for i := range views {
 		r := f.dyn.Inst.Source(i)
 		v := &views[i]
-		*v = opView{}
-		v.reg = r
-		v.isFP = r.IsFP()
+		*v = opView{reg: r, isFP: r.IsFP()}
 		if r == isa.R0 {
 			v.constant = true
-			v.avail = true
 			continue
 		}
 		v.home = s.table.Home(r)
 		v.mapped = s.table.MappedMask(r)
-		m := s.table.Lookup(r, v.home)
-		v.homeProv = m.Provider
-		p := m.Provider.get()
-		v.avail = p == nil || p.done(now)
+		v.homeProv = s.table.Lookup(r, v.home).Provider
 		v.conf = f.vpConf[i]
 		v.correct = f.vpCorrect[i]
-	}
-	return views
-}
-
-// copyPlan records one copy or verification-copy an instruction's
-// dispatch will generate.
-type copyPlan struct {
-	opIdx int
-	isVC  bool
-	home  int
-}
-
-// dispatchOne renames, steers and inserts one instruction (plus its
-// generated copies); it returns false when a structural resource is
-// exhausted and dispatch must retry next cycle. All intermediate
-// per-instruction state lives in Sim-owned scratch buffers.
-func (s *Sim) dispatchOne(now int64, f *fetched) bool {
-	views := s.analyzeOperands(now, f)
-	info := f.dyn.Info()
-
-	// Steering.
-	ops := s.steerOps[:0]
-	for _, v := range views {
-		if v.constant {
-			continue
-		}
+		p := v.homeProv.get()
 		ops = append(ops, steer.Operand{
-			Available:       v.avail,
+			Available:       p == nil || p.done(now),
 			MappedIn:        v.mapped,
 			ProducerCluster: v.home,
 			Predicted:       v.conf,
@@ -629,52 +592,54 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 	}
 	cl := s.str.Choose(ops)
 
-	// Plan resource needs.
-	plans := s.plans[:0]
-	for i := range views {
-		v := &views[i]
-		if v.constant {
-			continue
-		}
-		if v.mapped&(1<<uint(cl)) != 0 {
-			continue // mapped in target cluster: read locally (maybe predicted)
-		}
-		plans = append(plans, copyPlan{opIdx: i, isVC: v.conf, home: v.home})
-	}
-
+	// Plan resource needs: every operand unmapped in the target cluster
+	// costs a copy or verification-copy issued from its home cluster, and
+	// a plain copy also allocates the value's register in cl.
 	hasDest := false
 	var destLog isa.RegID
-	if d, ok := f.dyn.Inst.Dest(); ok && d != isa.R0 {
+	regNeed := 0
+	if info.HasDest && f.dyn.Inst.Rd != isa.R0 {
 		hasDest = true
-		destLog = d
+		destLog = f.dyn.Inst.Rd
+		regNeed++
+	}
+	var copyHome [trace.MaxSrc]int
+	ncopies := 0
+	for i := range views {
+		v := &views[i]
+		if v.constant || v.mapped&(1<<uint(cl)) != 0 {
+			continue
+		}
+		copyHome[ncopies] = v.home
+		ncopies++
+		if !v.conf {
+			regNeed++
+		}
 	}
 
 	// Structural checks: ROB, IQ and registers for the instruction and
-	// every generated copy.
-	if s.robCount+1+len(plans) > s.cfg.ROBSize {
+	// every generated copy. Every cluster is checked, not only the ones
+	// this dispatch touches: a reissue re-enters the IQ without a
+	// capacity check and may leave another cluster's IQ over-full.
+	if s.robCount+1+ncopies > s.cfg.ROBSize {
 		s.out.DispatchStallROB++
 		return false
 	}
-	iqNeed, regNeed := s.iqNeed, s.regNeed
-	for c := range iqNeed {
-		iqNeed[c], regNeed[c] = 0, 0
-	}
-	iqNeed[cl]++
-	if hasDest {
-		regNeed[cl]++
-	}
-	for _, p := range plans {
-		iqNeed[p.home]++
-		if !p.isVC {
-			regNeed[cl]++ // plain copies allocate the value's register in the consumer cluster
+	for c := range s.iqCount {
+		iqNeed := 0
+		if c == cl {
+			iqNeed++
 		}
-	}
-	for c := 0; c < len(s.iqCount); c++ {
-		if s.iqCount[c]+iqNeed[c] > s.iqSize[c] {
+		for _, h := range copyHome[:ncopies] {
+			if h == c {
+				iqNeed++
+			}
+		}
+		if s.iqCount[c]+iqNeed > s.iqSize[c] {
 			s.out.DispatchStallIQ++
 			return false
 		}
-		if !s.table.CanAlloc(c, regNeed[c]) {
+		if c == cl && !s.table.CanAlloc(c, regNeed) {
 			s.out.DispatchStallRegs++
 			return false
 		}
@@ -715,9 +680,9 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 			continue
 		}
 		// Unmapped in the target cluster: copy or verification-copy.
-		// The home-cluster mapping is untouched since analyzeOperands
-		// (earlier operands only AddCopy into the target cluster), so
-		// the snapshotted provider is still current.
+		// The home-cluster mapping is untouched since the operand
+		// analysis (earlier operands only AddCopy into the target
+		// cluster), so the snapshotted provider is still current.
 		home := v.home
 		homeProv := v.homeProv
 		if v.conf {

@@ -363,8 +363,9 @@ func init() {
 	infos[HALT] = Info{Class: ClassNone, Latency: 1, Pipelined: true}
 }
 
-// InfoFor returns the static description of op.
-func InfoFor(op Opcode) Info { return infos[op] }
+// InfoFor returns the static description of op. The Info is shared by
+// every caller and must not be modified.
+func InfoFor(op Opcode) *Info { return &infos[op] }
 
 // Sources returns the register sources of the instruction in operand
 // order (left, right), omitting unused slots.

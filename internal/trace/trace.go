@@ -10,6 +10,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -45,7 +46,7 @@ type DynInst struct {
 }
 
 // Info returns the static opcode description.
-func (d *DynInst) Info() isa.Info { return isa.InfoFor(d.Inst.Op) }
+func (d *DynInst) Info() *isa.Info { return isa.InfoFor(d.Inst.Op) }
 
 // Executor runs a Program functionally and produces DynInst records one
 // at a time.
@@ -59,48 +60,105 @@ type Executor struct {
 	err  error
 }
 
-// MemSize is the size of the flat data memory image (16 MiB).
+// MemSize is the size of the data memory image (16 MiB). Addresses wrap
+// into the image: every access uses addr & (MemSize-1). A 64-bit word
+// whose wrapped address lies within 8 bytes of the top is clamped to
+// MemSize-8, so a word access never wraps around the end of the image.
 const MemSize = 1 << 24
 
-// Memory is a flat byte-addressable data memory.
+const (
+	pageBits = 12
+	pageSize = 1 << pageBits
+	numPages = MemSize / pageSize
+)
+
+type page [pageSize]byte
+
+// Memory is the byte-addressable data memory, held as lazily allocated
+// 4 KiB pages: a page is allocated by its first store, and a page never
+// written reads as zero. Kernels touch tens of KiB of the image, so a
+// run pays for the pages it uses rather than for all 16 MiB.
 type Memory struct {
-	bytes []byte
+	pages [numPages]*page
 }
 
-// NewMemory builds a Memory initialized from the program's data image.
+// NewMemory builds a Memory initialized from the program's data image
+// (bytes beyond MemSize are dropped).
 func NewMemory(data []byte) *Memory {
-	m := &Memory{bytes: make([]byte, MemSize)}
-	copy(m.bytes, data)
+	m := &Memory{}
+	data = data[:min(len(data), MemSize)]
+	for off := 0; off < len(data); off += pageSize {
+		copy(m.page(uint64(off))[:], data[off:])
+	}
 	return m
+}
+
+// page returns the page holding the wrapped address a, allocating it on
+// first use.
+func (m *Memory) page(a uint64) *page {
+	p := m.pages[a>>pageBits]
+	if p == nil {
+		p = new(page)
+		m.pages[a>>pageBits] = p
+	}
+	return p
+}
+
+// wordAddr wraps addr into the image and clamps a word that would run
+// past the top.
+func wordAddr(addr uint64) uint64 {
+	a := addr & (MemSize - 1)
+	if a > MemSize-8 {
+		a = MemSize - 8
+	}
+	return a
 }
 
 // Load64 reads the 64-bit little-endian word at addr.
 func (m *Memory) Load64(addr uint64) uint64 {
-	a := addr & (MemSize - 1)
-	if a+8 > MemSize {
-		a = MemSize - 8
+	a := wordAddr(addr)
+	if off := a & (pageSize - 1); off <= pageSize-8 {
+		p := m.pages[a>>pageBits]
+		if p == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint64(p[off:])
 	}
-	b := m.bytes[a : a+8]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	// The word straddles two pages.
+	var v uint64
+	for i := uint64(0); i < 8; i++ {
+		v |= uint64(m.Load8(a+i)) << (8 * i)
+	}
+	return v
 }
 
 // Store64 writes the 64-bit little-endian word v at addr.
 func (m *Memory) Store64(addr, v uint64) {
-	a := addr & (MemSize - 1)
-	if a+8 > MemSize {
-		a = MemSize - 8
+	a := wordAddr(addr)
+	if off := a & (pageSize - 1); off <= pageSize-8 {
+		binary.LittleEndian.PutUint64(m.page(a)[off:], v)
+		return
 	}
-	b := m.bytes[a : a+8]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+	for i := uint64(0); i < 8; i++ {
+		m.Store8(a+i, byte(v>>(8*i)))
+	}
 }
 
 // Load8 reads the byte at addr.
-func (m *Memory) Load8(addr uint64) byte { return m.bytes[addr&(MemSize-1)] }
+func (m *Memory) Load8(addr uint64) byte {
+	a := addr & (MemSize - 1)
+	p := m.pages[a>>pageBits]
+	if p == nil {
+		return 0
+	}
+	return p[a&(pageSize-1)]
+}
 
 // Store8 writes the byte v at addr.
-func (m *Memory) Store8(addr uint64, v byte) { m.bytes[addr&(MemSize-1)] = v }
+func (m *Memory) Store8(addr uint64, v byte) {
+	a := addr & (MemSize - 1)
+	m.page(a)[a&(pageSize-1)] = v
+}
 
 // NewExecutor prepares a functional executor for prog.
 func NewExecutor(prog *program.Program) *Executor {
@@ -140,26 +198,28 @@ func (e *Executor) Next(d *DynInst) bool {
 		e.err = fmt.Errorf("trace: pc %d out of range", e.pc)
 		return false
 	}
-	in := e.prog.Code[e.pc]
+	in := &e.prog.Code[e.pc]
 	if in.Op == isa.HALT {
 		e.done = true
 		return false
 	}
+	info := isa.InfoFor(in.Op)
 
-	*d = DynInst{Seq: e.seq, PC: e.pc, Inst: in}
+	// Fill d field by field: assigning a composite literal would build
+	// the record in a temporary and copy it.
+	d.Seq, d.PC, d.Inst = e.seq, e.pc, *in
+	d.Taken = false
+	d.SrcVal = [MaxSrc]uint64{}
+	d.DstVal, d.Addr = 0, 0
 	e.seq++
 
-	srcs := in.Sources()
-	for i, r := range srcs {
-		d.SrcVal[i] = e.Reg(r)
+	for i := 0; i < info.NumSrc; i++ {
+		d.SrcVal[i] = e.Reg(in.Source(i))
 	}
 
 	next := e.pc + 1
 	a := int64(d.SrcVal[0])
-	bv := int64(0)
-	if len(srcs) > 1 {
-		bv = int64(d.SrcVal[1])
-	}
+	bv := int64(d.SrcVal[1]) // 0 unless the instruction has two sources
 	var result uint64
 	wrote := false
 
@@ -290,7 +350,6 @@ func (e *Executor) Next(d *DynInst) bool {
 		return false
 	}
 
-	info := isa.InfoFor(in.Op)
 	if info.IsCondBranch && d.Taken {
 		next = in.Target
 	}

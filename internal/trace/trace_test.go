@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -150,6 +151,147 @@ func TestMemoryProperty(t *testing.T) {
 		return m.Load64(a) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// flatMemory is the reference model of Memory's contract: one flat
+// MemSize image with the address wrap and the top-of-image word clamp.
+type flatMemory []byte
+
+func newFlatMemory(data []byte) flatMemory {
+	f := make(flatMemory, MemSize)
+	copy(f, data)
+	return f
+}
+
+func (f flatMemory) Load64(addr uint64) uint64 {
+	a := addr & (MemSize - 1)
+	if a+8 > MemSize {
+		a = MemSize - 8
+	}
+	return binary.LittleEndian.Uint64(f[a:])
+}
+
+func (f flatMemory) Store64(addr, v uint64) {
+	a := addr & (MemSize - 1)
+	if a+8 > MemSize {
+		a = MemSize - 8
+	}
+	binary.LittleEndian.PutUint64(f[a:], v)
+}
+
+func (f flatMemory) Load8(addr uint64) byte     { return f[addr&(MemSize-1)] }
+func (f flatMemory) Store8(addr uint64, v byte) { f[addr&(MemSize-1)] = v }
+
+// TestMemoryContract pins the data memory's addressing rules: the wrap
+// modulo MemSize, the clamp of a word near the top, words that straddle
+// a page boundary, and zero reads of memory never written.
+func TestMemoryContract(t *testing.T) {
+	const v = 0x0123456789ABCDEF
+	cases := []struct {
+		name      string
+		store     uint64 // Store64(store, v)
+		load      uint64 // then Load64(load) must be v
+		byteAt    uint64 // and Load8(byteAt) must be byteWant
+		byteWant  byte
+		untouched uint64 // and Load64(untouched) must be 0
+	}{
+		{"wrap", MemSize + 0x100, 0x100, 0x100, 0xEF, MemSize + 0x108},
+		{"wrap high bits", 7<<40 | 0x2000, 0x2000, 0x2007, 0x01, 0x1FF8},
+		{"clamp at MemSize-4", MemSize - 4, MemSize - 8, MemSize - 8, 0xEF, MemSize - 16},
+		{"clamp read", MemSize - 8, MemSize - 1, MemSize - 1, 0x01, 0},
+		{"straddle page", pageSize - 3, pageSize - 3, pageSize, 0x89, pageSize + 5},
+		{"straddle wrapped", MemSize + 2*pageSize - 5, 2*pageSize - 5, 2*pageSize - 1, 0x67, 2*pageSize + 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMemory(nil)
+			m.Store64(c.store, v)
+			if got := m.Load64(c.load); got != v {
+				t.Errorf("Load64(%#x) = %#x, want %#x", c.load, got, uint64(v))
+			}
+			if got := m.Load8(c.byteAt); got != c.byteWant {
+				t.Errorf("Load8(%#x) = %#x, want %#x", c.byteAt, got, c.byteWant)
+			}
+			if got := m.Load64(c.untouched); got != 0 {
+				t.Errorf("Load64(%#x) = %#x, want 0", c.untouched, got)
+			}
+		})
+	}
+
+	t.Run("never written", func(t *testing.T) {
+		m := NewMemory([]byte{1, 2, 3})
+		for _, a := range []uint64{pageSize, MemSize / 2, MemSize - 8, MemSize - 1, 1<<63 | 5*pageSize} {
+			if got := m.Load64(a); got != 0 {
+				t.Errorf("Load64(%#x) = %#x, want 0", a, got)
+			}
+			if got := m.Load8(a); got != 0 {
+				t.Errorf("Load8(%#x) = %#x, want 0", a, got)
+			}
+		}
+		if got := m.Load64(0); got != 0x030201 {
+			t.Errorf("data image: Load64(0) = %#x, want 0x030201", got)
+		}
+	})
+}
+
+// TestMemoryMatchesFlatOracle checks random sequences of byte and word
+// accesses, concentrated near page boundaries and the top of the image,
+// against the flat reference model.
+func TestMemoryMatchesFlatOracle(t *testing.T) {
+	data := make([]byte, 3*pageSize+17)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	type op struct {
+		Kind uint8
+		Addr uint64
+		Val  uint64
+	}
+	// addr spreads accesses over the interesting regions: around a page
+	// boundary in the data image, the top of the image, and beyond it.
+	addr := func(a uint64) uint64 {
+		switch a % 4 {
+		case 0:
+			return pageSize*(a>>2%4) + a>>4%16 - 8
+		case 1:
+			return MemSize - 16 + a>>2%16
+		case 2:
+			return a >> 2
+		default:
+			return a
+		}
+	}
+	f := func(ops []op) bool {
+		m, want := NewMemory(data), newFlatMemory(data)
+		for _, o := range ops {
+			a := addr(o.Addr)
+			switch o.Kind % 4 {
+			case 0:
+				m.Store64(a, o.Val)
+				want.Store64(a, o.Val)
+			case 1:
+				m.Store8(a, byte(o.Val))
+				want.Store8(a, byte(o.Val))
+			case 2:
+				if m.Load64(a) != want.Load64(a) {
+					return false
+				}
+			default:
+				if m.Load8(a) != want.Load8(a) {
+					return false
+				}
+			}
+		}
+		for _, o := range ops {
+			if a := addr(o.Addr); m.Load64(a) != want.Load64(a) || m.Load8(a) != want.Load8(a) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -34,6 +34,13 @@ func NewTwoDelta(entries int) *TwoDelta {
 // Entries returns the table capacity.
 func (t *TwoDelta) Entries() int { return len(t.table) }
 
+// Reset rewinds the predictor to its NewTwoDelta state in place, keeping
+// the table's allocation.
+func (t *TwoDelta) Reset() {
+	clear(t.table)
+	t.stats = Stats{}
+}
+
 // PredictAndTrain implements Predictor.
 func (t *TwoDelta) PredictAndTrain(pc, opIdx int, isFP bool, actual uint64) (uint64, bool, bool) {
 	if isFP {

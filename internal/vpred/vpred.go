@@ -144,6 +144,14 @@ func (s *Stride) Stats() Stats { return s.stats }
 // Entries returns the table capacity.
 func (s *Stride) Entries() int { return len(s.table) }
 
+// Reset rewinds the predictor to its NewStride state in place, keeping
+// the table's allocation.
+func (s *Stride) Reset() {
+	clear(s.table)
+	s.stats = Stats{}
+	s.CoverFP = false
+}
+
 // Perfect predicts every integer operand correctly — the Figure 3 upper
 // bound. FP operands remain unpredicted (unless CoverFP is set, an
 // extension), which is why the paper's perfect configuration still shows

@@ -232,3 +232,39 @@ func TestCoverFPExtension(t *testing.T) {
 		t.Error("perfect with CoverFP must predict FP")
 	}
 }
+
+// TestResetMatchesFresh checks that a trained predictor rewound with
+// Reset predicts a value stream exactly as a freshly built one does.
+func TestResetMatchesFresh(t *testing.T) {
+	train := func(p Predictor) {
+		for i := 0; i < 200; i++ {
+			p.PredictAndTrain(i%37, i%2, i%5 == 0, uint64(i*i))
+		}
+	}
+	type predictor interface {
+		Predictor
+		Reset()
+	}
+	for _, mk := range []func() predictor{
+		func() predictor { return NewStride(64) },
+		func() predictor { return NewTwoDelta(64) },
+	} {
+		reused, fresh := mk(), mk()
+		if s, ok := reused.(*Stride); ok {
+			s.CoverFP = true // Reset must clear it too
+		}
+		train(reused)
+		reused.Reset()
+		for i := 0; i < 200; i++ {
+			v := uint64(3 * (i % 11))
+			gv, gc, gok := reused.PredictAndTrain(i%13, i%2, i%7 == 0, v)
+			wv, wc, wok := fresh.PredictAndTrain(i%13, i%2, i%7 == 0, v)
+			if gv != wv || gc != wc || gok != wok {
+				t.Fatalf("%T step %d: reset predictor (%d,%v,%v), fresh (%d,%v,%v)", reused, i, gv, gc, gok, wv, wc, wok)
+			}
+		}
+		if reused.Stats() != fresh.Stats() {
+			t.Errorf("%T: reset stats %+v, fresh %+v", reused, reused.Stats(), fresh.Stats())
+		}
+	}
+}
